@@ -100,6 +100,14 @@ def effective_angular(m: int, cfg: FieldConfiguration) -> float:
     return m - cfg.e * cfg.phi_AB / (2.0 * math.pi * cfg.c)
 
 
+def field_cross_term(cfg: FieldConfiguration, m: int) -> float:
+    """Energy-independent part of q: e^2 B phi_AB / (2 pi c^2) - e m B / (2 c)."""
+    return (
+        cfg.e**2 * cfg.B * cfg.phi_AB / (2.0 * math.pi * cfg.c**2)
+        - cfg.e * m * cfg.B / (2.0 * cfg.c)
+    )
+
+
 def reduced_coefficients(
     cfg: FieldConfiguration, sym: SymmetryLimit, m: int, E: float
 ) -> ReducedCoefficients:
@@ -119,11 +127,7 @@ def reduced_coefficients(
     mu = sym.mass_factor(E, cfg.M)
     m_eff = effective_angular(m, cfg)
     p2 = 2.0 * mu * cfg.a + (cfg.e * cfg.B) ** 2 / (4.0 * cfg.c**2)
-    q = (
-        cfg.e**2 * cfg.B * cfg.phi_AB / (2.0 * math.pi * cfg.c**2)
-        - cfg.e * m * cfg.B / (2.0 * cfg.c)
-        - (E**2 - cfg.M**2)
-    )
+    q = field_cross_term(cfg, m) - (E**2 - cfg.M**2)
     delta = m_eff**2 + 2.0 * mu * cfg.b - 0.25
     return ReducedCoefficients(p2=p2, q=q, delta=delta, m_eff=m_eff)
 

@@ -9,7 +9,7 @@ self-consistency requirement
     mu_n(P(E), D(E)) = E^2 - M^2 - gamma,
 
 with gamma the energy-independent field cross term, so resolving that in E
-by bisection recovers the nonlinear eigenvalue without touching the
+by Brent's method recovers the nonlinear eigenvalue without touching the
 polynomial machinery of the analytic route.
 
 Discretization: 3-point Laplacian with the potential evaluated at the grid
@@ -70,11 +70,11 @@ def sturm_count(diag: np.ndarray, off2: float, x: float) -> int:
     off-diagonal entry.
     """
     count = 0
-    d = 1.0
-    first = True
-    for a in diag:
-        d = (a - x) if first else (a - x) - off2 / d
-        first = False
+    d = math.inf  # off2 / inf = 0: the first pivot is diag[0] - x
+    # Python floats: the same IEEE doubles as numpy scalars, without the
+    # per-element numpy scalar overhead
+    for a in diag.tolist():
+        d = (a - x) - off2 / d
         if d == 0.0:
             d = -1e-300
         if d < 0.0:
@@ -129,12 +129,51 @@ def fd_eigenvalue(
     return (4.0 * mu_f - mu_h) / 3.0
 
 
-def _cross_term(cfg: FieldConfiguration, m: int) -> float:
-    """gamma = e^2 B phi_AB / (2 pi c^2) - e m B / (2 c); q = gamma - (E^2 - M^2)."""
-    return (
-        cfg.e**2 * cfg.B * cfg.phi_AB / (2.0 * math.pi * cfg.c**2)
-        - cfg.e * m * cfg.B / (2.0 * cfg.c)
-    )
+def _brent(f, lo: float, hi: float, flo: float, fhi: float, tol: float) -> float:
+    """Zero of f in [lo, hi], given f(lo) = flo and f(hi) = fhi of opposite
+    signs (or one of them exactly zero).
+
+    Brent's method (Brent 1973, Algorithms for Minimization without
+    Derivatives, ch. 4): inverse-quadratic or secant steps, falling back to
+    bisection whenever an interpolated step would leave the bracket or not
+    shrink it fast enough.  Every evaluation lies inside the current
+    sign-change bracket [b, c].  Stops once its half-width is <= tol / 2 (plus
+    rounding) and returns the end b with the smaller |f|, so a sign change of
+    f lies within tol of the result.
+    """
+    a, fa, b, fb = lo, flo, hi, fhi
+    c, fc = a, fa
+    d = e = b - a
+    while True:
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, fa, b, fb, c, fc = b, fb, c, fc, b, fb
+        tol1 = 2.0 * math.ulp(1.0) * abs(b) + 0.5 * tol
+        m = 0.5 * (c - b)
+        if fb == 0.0 or abs(m) <= tol1:
+            return b
+        if abs(e) >= tol1 and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * m * s, 1.0 - s
+            else:  # inverse quadratic through a, b, c
+                qa, r = fa / fc, fb / fc
+                p = s * (2.0 * m * qa * (qa - r) - (b - a) * (r - 1.0))
+                q = (qa - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * m * q - abs(tol1 * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
+        else:
+            d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol1 else math.copysign(tol1, m)
+        fb = f(b)
 
 
 def self_consistent_energy(
@@ -145,12 +184,13 @@ def self_consistent_energy(
     window: tuple[float, float],
     tol: float = 1e-8,
 ) -> float:
-    """Root of G(E) = mu_n(P(E), D(E)) - (E^2 - M^2 - gamma) by bisection.
+    """Root of G(E) = mu_n(P(E), D(E)) - (E^2 - M^2 - gamma) by Brent's method,
+    to within tol.
 
     The window must bracket exactly one root (callers isolate brackets with
     the analytic scan); both endpoints must be admissible energies.
     """
-    gamma = _cross_term(cfg, idx.m)
+    gamma = model.field_cross_term(cfg, idx.m)
 
     def G(E: float) -> float:
         coeffs = model.reduced_coefficients(cfg, sym, idx.m, E)
@@ -168,19 +208,7 @@ def self_consistent_energy(
         return hi
     if glo * ghi > 0.0:
         raise NoSignChange(f"G has no sign change on [{lo}, {hi}]")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        gmid = G(mid)
-        if gmid == 0.0:
-            lo = hi = mid
-            break
-        if glo * gmid < 0.0:
-            hi, ghi = mid, gmid
-        else:
-            lo, glo = mid, gmid
-    root = 0.5 * (lo + hi)
+    root = _brent(G, lo, hi, glo, ghi, tol)
     # final index verification at the converged energy
     coeffs = model.reduced_coefficients(cfg, sym, idx.m, root)
     fd_eigenvalue(coeffs.p2, coeffs.delta, grid, idx.n, verify_index=True)

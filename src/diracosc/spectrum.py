@@ -106,11 +106,7 @@ def _condition_grid(cfg: FieldConfiguration, sym: SymmetryLimit, idx: StateIndex
     mu = sym.mass_factor(E, cfg.M)
     m_eff = model.effective_angular(idx.m, cfg)
     p2 = 2.0 * mu * cfg.a + (cfg.e * cfg.B) ** 2 / (4.0 * cfg.c**2)
-    q = (
-        cfg.e**2 * cfg.B * cfg.phi_AB / (2.0 * math.pi * cfg.c**2)
-        - cfg.e * idx.m * cfg.B / (2.0 * cfg.c)
-        - (E**2 - cfg.M**2)
-    )
+    q = model.field_cross_term(cfg, idx.m) - (E**2 - cfg.M**2)
     alpha2 = m_eff**2 + 2.0 * mu * cfg.b
     ok = (
         (p2 > 0.0)

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from diracosc import oracle
 from diracosc.model import FieldConfiguration, StateIndex, SymmetryLimit
 from diracosc.oracle import (
     GridTooCoarse,
     NoSignChange,
     OracleComparison,
     RadialGrid,
+    _brent,
     _single_grid_eigenvalue,
     compare,
     default_grid,
@@ -75,6 +77,86 @@ def test_sturm_count_brackets_index():
         mu, _, _ = _single_grid_eigenvalue(1.0, 0.0, 12.0, pts, n)
         assert sturm_count(diag, off2, mu - 1e-8) == n
         assert sturm_count(diag, off2, mu + 1e-8) == n + 1
+
+
+def test_sturm_count_matches_numpy_scalar_loop():
+    # reference: the same LDL^T recurrence over numpy float64 scalars
+    def reference(diag, off2, x):
+        count = 0
+        d = None
+        for a in diag:
+            d = (a - x) if d is None else (a - x) - off2 / d
+            if d == 0.0:
+                d = -1e-300
+            if d < 0.0:
+                count += 1
+        return count
+
+    mu, diag, off = _single_grid_eigenvalue(1.3, 0.4, 12.0, 2003, 3)
+    xs = [mu - 1e-8, mu, mu + 1e-8, -5.0, 0.0, 50.0, 4.0 / (12.0 / 2004) ** 2]
+    for x in xs:
+        assert sturm_count(diag, off * off, x) == reference(diag, off * off, x)
+
+
+def _recording(f):
+    points = []
+
+    def g(x):
+        points.append(x)
+        return f(x)
+
+    return g, points
+
+
+def test_brent_cubic_root_within_tol():
+    f = lambda x: (x - 0.3) * (x * x + 1.0) * (x + 2.0)
+    g, points = _recording(f)
+    lo, hi, tol = -1.0, 2.0, 1e-10
+    root = _brent(g, lo, hi, f(lo), f(hi), tol)
+    assert abs(root - 0.3) <= tol
+    assert len(points) < 20
+
+
+def test_brent_exact_zero_at_endpoint():
+    f = lambda x: x * x - 1.0
+    g, points = _recording(f)
+    assert _brent(g, 1.0, 3.0, 0.0, f(3.0), 1e-8) == 1.0
+    assert _brent(g, -0.5, 1.0, f(-0.5), 0.0, 1e-8) == 1.0
+    assert points == []
+
+
+@pytest.mark.parametrize(
+    "f, lo, hi",
+    [
+        (lambda x: (x - 0.3) ** 3, -1.0, 2.0),  # triple root: flat, slow interpolation
+        (lambda x: math.tanh(50.0 * (x - 1.9)), 0.0, 2.0),  # steep, near one end
+        (lambda x: math.exp(x) - 1e4, 0.0, 20.0),  # strongly convex
+        (lambda x: 1.0 if x > 0.25 else -1.0, 0.0, 1.0),  # sign only
+    ],
+)
+def test_brent_never_leaves_bracket(f, lo, hi):
+    g, points = _recording(f)
+    tol = 1e-9
+    root = _brent(g, lo, hi, f(lo), f(hi), tol)
+    assert all(lo < x < hi for x in points)
+    # a sign change of f lies within tol of the returned point
+    assert f(root - tol) * f(root + tol) <= 0.0
+
+
+def test_self_consistent_eigensolve_count(monkeypatch):
+    # Brent on the smooth G: 2 endpoints, a few interior steps, 1 verify
+    calls = []
+    solve = oracle.fd_eigenvalue
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "fd_eigenvalue", counting)
+    state = find_states(BARE, SP, StateIndex(0, 1), SearchWindow(1.0001, 10.0))[0]
+    grid = default_grid(state.p_tilde**2)
+    self_consistent_energy(BARE, SP, StateIndex(0, 1), grid, (state.E - 0.2, state.E + 0.2))
+    assert len(calls) <= 10
 
 
 def test_grid_too_coarse():
