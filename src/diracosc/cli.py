@@ -99,10 +99,9 @@ def _symmetry(args: argparse.Namespace) -> SymmetryLimit:
 def _window(args: argparse.Namespace, cfg: FieldConfiguration) -> SearchWindow:
     e_min = _merged(args, "emin", default=-(cfg.M + 20.0))
     e_max = _merged(args, "emax", default=cfg.M + 20.0)
-    scan = _merged(args, "scan", default=20000)
     tol = _merged(args, "tol", default=1e-12)
     try:
-        return SearchWindow(float(e_min), float(e_max), int(scan), float(tol))
+        return SearchWindow(float(e_min), float(e_max), float(tol))
     except ValueError as exc:
         raise CliError(f"invalid window flags: {exc}") from None
 
@@ -477,8 +476,12 @@ def _add_field_flags(p: argparse.ArgumentParser) -> None:
 def _add_window_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--emin", type=float, help="window lower edge (default -(M+20))")
     p.add_argument("--emax", type=float, help="window upper edge (default M+20)")
-    p.add_argument("--scan", type=int, help="scan grid points (default 20000)")
-    p.add_argument("--tol", type=float, help="bisection tolerance (default 1e-12)")
+    p.add_argument(
+        "--tol",
+        type=float,
+        help="roots within 10*tol of an admissibility edge or of the mass shell "
+        "are discarded (default 1e-12)",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

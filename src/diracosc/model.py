@@ -132,6 +132,24 @@ def reduced_coefficients(
     return ReducedCoefficients(p2=p2, q=q, delta=delta, m_eff=m_eff)
 
 
+def coefficient_polynomials(
+    cfg: FieldConfiguration, sym: SymmetryLimit, m: int, origin: float = 0.0
+) -> tuple[tuple[float, float], tuple[float, float], tuple[float, float, float]]:
+    """The coefficients of ``reduced_coefficients`` as polynomials in
+    x = E - origin.
+
+    Returns (p2, d, q) as ascending coefficient tuples, with d = delta + 1/4:
+    p2 and d are linear in x, q is quadratic.  About origin = +-M the
+    constant term of q is the field cross term alone, free of the
+    cancellation M^2 - E^2 suffers near the mass shell.
+    """
+    mu0 = sym.mass_factor(origin, cfg.M)  # mu at x = 0
+    p2 = (2.0 * mu0 * cfg.a + (cfg.e * cfg.B) ** 2 / (4.0 * cfg.c**2), 2.0 * cfg.a)
+    d = (effective_angular(m, cfg) ** 2 + 2.0 * mu0 * cfg.b, 2.0 * cfg.b)
+    q = (field_cross_term(cfg, m) + (cfg.M - origin) * (cfg.M + origin), -2.0 * origin, -1.0)
+    return p2, d, q
+
+
 def admissible(coeffs: ReducedCoefficients) -> Admissibility:
     """Reality check on both radicands of the bound-state condition.
 

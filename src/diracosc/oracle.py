@@ -24,11 +24,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 
 from . import model
 from .model import Admissibility, FieldConfiguration, StateIndex, SymmetryLimit
-from .spectrum import SearchWindow, find_states
+from .spectrum import SearchWindow, _brent, find_states
 
 
 class GridTooCoarse(RuntimeError):
@@ -83,6 +82,10 @@ def sturm_count(diag: np.ndarray, off2: float, x: float) -> int:
 
 
 def _single_grid_eigenvalue(P: float, D: float, r_max: float, points: int, n: int):
+    # imported on first use: scipy.linalg dominates the package's import time,
+    # and only the oracle needs it
+    from scipy.linalg import eigvalsh_tridiagonal
+
     h = r_max / (points + 1)
     r = np.arange(1, points + 1) * h
     diag = 2.0 / (h * h) + P * r * r + D / (r * r)
@@ -129,53 +132,6 @@ def fd_eigenvalue(
     return (4.0 * mu_f - mu_h) / 3.0
 
 
-def _brent(f, lo: float, hi: float, flo: float, fhi: float, tol: float) -> float:
-    """Zero of f in [lo, hi], given f(lo) = flo and f(hi) = fhi of opposite
-    signs (or one of them exactly zero).
-
-    Brent's method (Brent 1973, Algorithms for Minimization without
-    Derivatives, ch. 4): inverse-quadratic or secant steps, falling back to
-    bisection whenever an interpolated step would leave the bracket or not
-    shrink it fast enough.  Every evaluation lies inside the current
-    sign-change bracket [b, c].  Stops once its half-width is <= tol / 2 (plus
-    rounding) and returns the end b with the smaller |f|, so a sign change of
-    f lies within tol of the result.
-    """
-    a, fa, b, fb = lo, flo, hi, fhi
-    c, fc = a, fa
-    d = e = b - a
-    while True:
-        if (fb > 0.0) == (fc > 0.0):
-            c, fc = a, fa
-            d = e = b - a
-        if abs(fc) < abs(fb):
-            a, fa, b, fb, c, fc = b, fb, c, fc, b, fb
-        tol1 = 2.0 * math.ulp(1.0) * abs(b) + 0.5 * tol
-        m = 0.5 * (c - b)
-        if fb == 0.0 or abs(m) <= tol1:
-            return b
-        if abs(e) >= tol1 and abs(fa) > abs(fb):
-            s = fb / fa
-            if a == c:  # secant
-                p, q = 2.0 * m * s, 1.0 - s
-            else:  # inverse quadratic through a, b, c
-                qa, r = fa / fc, fb / fc
-                p = s * (2.0 * m * qa * (qa - r) - (b - a) * (r - 1.0))
-                q = (qa - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            p = abs(p)
-            if 2.0 * p < min(3.0 * m * q - abs(tol1 * q), abs(e * q)):
-                e, d = d, p / q
-            else:
-                d = e = m
-        else:
-            d = e = m
-        a, fa = b, fb
-        b += d if abs(d) > tol1 else math.copysign(tol1, m)
-        fb = f(b)
-
-
 def self_consistent_energy(
     cfg: FieldConfiguration,
     sym: SymmetryLimit,
@@ -187,8 +143,9 @@ def self_consistent_energy(
     """Root of G(E) = mu_n(P(E), D(E)) - (E^2 - M^2 - gamma) by Brent's method,
     to within tol.
 
-    The window must bracket exactly one root (callers isolate brackets with
-    the analytic scan); both endpoints must be admissible energies.
+    The window must bracket exactly one root (callers center it on an
+    analytic root of ``find_states``); both endpoints must be admissible
+    energies.
     """
     gamma = model.field_cross_term(cfg, idx.m)
 

@@ -115,13 +115,15 @@ def integrate_halfline(f, rel_tol: float = 1e-10, max_depth: int = 72) -> float:
         u = 1.0 - t
         return f(t / u) / (u * u)
 
-    # coarse L1 scale on a fixed grid; only sets the absolute tolerance floor
-    n_scale = 64
-    scale = 0.0
-    for i in range(n_scale + 1):
-        w = 0.5 if i in (0, n_scale) else 1.0
-        scale += w * abs(g(i / n_scale))
-    scale /= n_scale
+    # 2^6 panels, which give the L1 scale (it only sets the absolute
+    # tolerance floor) and seed the recursion at depth 6: a start from one
+    # 3-point panel can converge falsely on an integrand whose mass sits in
+    # a sliver of (0, 1), such as a weakly confined state near t = 1
+    start_depth = 6
+    panels = 2**start_depth
+    t = [i / panels for i in range(panels + 1)]
+    gt = [g(x) for x in t]
+    scale = (sum(abs(x) for x in gt) - 0.5 * (abs(gt[0]) + abs(gt[-1]))) / panels
     tol = rel_tol * max(scale, 1e-300)
 
     def simpson(a: float, fa: float, fm: float, fb: float, b: float) -> float:
@@ -149,8 +151,10 @@ def integrate_halfline(f, rel_tol: float = 1e-10, max_depth: int = 72) -> float:
             m, fm, frm, fb, b, right, 0.5 * eps, depth + 1
         )
 
-    f0 = g(0.0)
-    f1 = g(1.0)
-    fm = g(0.5)
-    whole = simpson(0.0, f0, fm, f1, 1.0)
-    return adapt(0.0, f0, fm, f1, 1.0, whole, tol, 0)
+    total = 0.0
+    for i in range(panels):
+        a, b = t[i], t[i + 1]
+        fm = g(0.5 * (a + b))
+        whole = simpson(a, gt[i], fm, gt[i + 1], b)
+        total += adapt(a, gt[i], fm, gt[i + 1], b, whole, tol / panels, start_depth)
+    return total

@@ -1,15 +1,23 @@
-"""Transcendental energy condition and bound-state root isolation.
+"""Transcendental energy condition and exact bound-state enumeration.
 
 For a state (symmetry, n, m) the bound-state energies are the zeros of
 
-    F(E) = 2 sqrt(p2) (2n + 1 + sqrt(delta + 1/4)) + q
+    F(E) = 2 sqrt(p2) (K + sqrt(d)) + q,   K = 2n + 1,  d = delta + 1/4,
 
 with (p2, q, delta) the energy-dependent coefficients from ``model``.  F is
-defined only where the coefficients are admissible.  The solver scans a
-window on a uniform grid, brackets every sign change between adjacent
-admissible points, and refines each bracket by bisection: F is only
-piecewise smooth across admissibility boundaries, so guaranteed bracketing
-beats Newton here.  Both positive- and negative-energy roots are reported.
+defined only where the coefficients are admissible.  p2 and d are linear in
+E and q is quadratic, so squaring F = 0 twice gives the degree-8 polynomial
+
+    P(E) = (q^2 - 4 p2 (K^2 + d))^2 - 64 K^2 p2^2 d
+
+whose real roots include every zero of F.  The solver takes the near-real
+roots of P as candidates, drops those where a zero of F is impossible (it
+needs q < 0 and q^2 - 4 p2 (K^2 + d) >= 0), and polishes each survivor on F
+itself by Brent's method, inside the admissible interval, whose edges are
+exact because p2 and d are linear.  A root is accepted only where F changes
+sign, or touches zero at rounding level, so the spurious roots that
+squaring adds are never reported.  Both positive- and negative-energy roots
+are reported.
 """
 
 from __future__ import annotations
@@ -22,9 +30,24 @@ import numpy as np
 from . import model, special
 from .model import Admissibility, FieldConfiguration, StateIndex, SymmetryLimit
 
-# exclusion half-width around the forbidden mass shell, in units of the
-# window tolerance
+# discard half-width around the admissibility edges and the forbidden mass
+# shell, in units of the window tolerance
 _SHELL_EXCLUSION = 10.0
+# a root of P further than this (relative) from the real axis is complex
+_IMAG_TOL = 1e-3
+# distance (relative) a float root of P may sit from the exact one, on top of
+# its imaginary part; clustered and double roots are resolved only to
+# about sqrt(machine epsilon)
+_CANDIDATE_SPREAD = 1e-6
+# first half-width (relative) of the sign-change search around a candidate,
+# and its growth per step
+_FIRST_STEP = 1e-9
+_STEP_GROWTH = 100.0
+# polished roots closer than this (relative) are one root: rounding splits a
+# tangent root into two nearby sign changes of the computed F
+_SAME_ROOT = 1e-7
+# |F| at or below this share of the size of its terms is zero to rounding
+_ROUNDING = 64.0 * math.ulp(1.0)
 
 
 class InadmissibleEnergy(ValueError):
@@ -38,23 +61,23 @@ class InadmissibleEnergy(ValueError):
 
 @dataclass
 class SearchWindow:
+    """Energy interval [e_min, e_max] to enumerate; roots within
+    10 tol of an admissibility edge or of the mass shell are discarded."""
+
     e_min: float
     e_max: float
-    scan_points: int = 20000
     tol: float = 1e-12
 
     def __post_init__(self) -> None:
         if not self.e_min < self.e_max:
             raise ValueError(f"need e_min < e_max, got [{self.e_min}, {self.e_max}]")
-        if self.scan_points < 2:
-            raise ValueError(f"scan_points must be >= 2, got {self.scan_points}")
         if not self.tol > 0.0:
             raise ValueError(f"tol must be > 0, got {self.tol}")
 
 
-def default_window(cfg: FieldConfiguration, scan_points: int = 20000, tol: float = 1e-12) -> SearchWindow:
+def default_window(cfg: FieldConfiguration, *, tol: float = 1e-12) -> SearchWindow:
     """[-(M + 20), M + 20], wide enough for desk-scale configurations."""
-    return SearchWindow(-(cfg.M + 20.0), cfg.M + 20.0, scan_points, tol)
+    return SearchWindow(-(cfg.M + 20.0), cfg.M + 20.0, tol)
 
 
 @dataclass(frozen=True)
@@ -83,7 +106,6 @@ class ScanDiagnostics:
     """Mutable recorder for root-isolation pathologies."""
 
     boundary_discards: int = 0
-    failed_brackets: int = 0
 
 
 def energy_condition(cfg: FieldConfiguration, sym: SymmetryLimit, idx: StateIndex, E: float) -> float:
@@ -101,36 +123,209 @@ def energy_condition(cfg: FieldConfiguration, sym: SymmetryLimit, idx: StateInde
     )
 
 
-def _condition_grid(cfg: FieldConfiguration, sym: SymmetryLimit, idx: StateIndex, E: np.ndarray, tol: float):
-    """Vectorized F over an energy grid; NaN marks inadmissible points."""
-    mu = sym.mass_factor(E, cfg.M)
-    m_eff = model.effective_angular(idx.m, cfg)
-    p2 = 2.0 * mu * cfg.a + (cfg.e * cfg.B) ** 2 / (4.0 * cfg.c**2)
-    q = model.field_cross_term(cfg, idx.m) - (E**2 - cfg.M**2)
-    alpha2 = m_eff**2 + 2.0 * mu * cfg.b
-    ok = (
-        (p2 > 0.0)
-        & (alpha2 >= 0.0)
-        & (np.abs(E - sym.forbidden_energy(cfg.M)) > _SHELL_EXCLUSION * tol)
-    )
-    F = np.full_like(E, np.nan)
-    F[ok] = 2.0 * np.sqrt(p2[ok]) * (2.0 * idx.n + 1.0 + np.sqrt(alpha2[ok])) + q[ok]
-    return F
+def _condition_polynomial(p2, d, q, n: int) -> np.ndarray:
+    """Ascending coefficients of P = (q^2 - 4 p2 (K^2 + d))^2 - 64 K^2 p2^2 d
+    from the coefficient polynomials of ``model.coefficient_polynomials``."""
+    K2 = (2.0 * n + 1.0) ** 2
+    inner = np.convolve(q, q)
+    inner[:3] -= 4.0 * np.convolve(p2, (K2 + d[0], d[1]))
+    P = np.convolve(inner, inner)
+    P[:4] -= 64.0 * K2 * np.convolve(np.convolve(p2, p2), d)
+    return P
+
+
+def _condition_roots(cfg: FieldConfiguration, sym: SymmetryLimit, idx: StateIndex) -> np.ndarray:
+    """The complex roots of P, as energies.
+
+    Bound states gather near E = -M and E = +M, four roots of P around
+    each, and in powers of E the coefficients of P lose those clusters to
+    rounding once M is large (at M = 1e4 a root moves by 0.1).  So the roots
+    below E = 0 come from P expanded about -M and the rest from P expanded
+    about +M: two companion matrices, one eigenvalue call.
+    """
+    companion = np.zeros((2, 8, 8))
+    companion[:, 1:, :-1] = np.eye(7)
+    origins = (-cfg.M, cfg.M)
+    for k, origin in enumerate(origins):
+        P = _condition_polynomial(*model.coefficient_polynomials(cfg, sym, idx.m, origin), idx.n)
+        companion[k, 0, :] = -P[-2::-1] / P[-1]
+    below, above = (x + o for x, o in zip(np.linalg.eigvals(companion), origins))
+    # an overlap of one candidate spread around E = 0 loses no root there
+    return np.concatenate((below[below.real <= _CANDIDATE_SPREAD], above[above.real >= -_CANDIDATE_SPREAD]))
 
 
 def _near_boundary(cfg: FieldConfiguration, sym: SymmetryLimit, E: float, m: int, tol: float) -> bool:
-    """True when E is within ~tol of a point where a radicand crosses zero.
+    """True when E is within 10 tol of the mass shell or of a point where a
+    radicand crosses zero.
 
     The crossing distance is measured in energy via the exact slopes
     d(p2)/dE = 2a and d(delta)/dE = 2b; a radicand that does not vary with E
     (a = 0 or b = 0) has no boundary to cross.
     """
-    coeffs = model.reduced_coefficients(cfg, sym, m, E)
-    if cfg.a > 0.0 and coeffs.p2 / (2.0 * cfg.a) <= _SHELL_EXCLUSION * tol:
+    band = _SHELL_EXCLUSION * tol
+    if abs(E - sym.forbidden_energy(cfg.M)) <= band:
         return True
-    if cfg.b != 0.0 and (coeffs.delta + 0.25) / (2.0 * abs(cfg.b)) <= _SHELL_EXCLUSION * tol:
+    coeffs = model.reduced_coefficients(cfg, sym, m, E)
+    if cfg.a > 0.0 and coeffs.p2 / (2.0 * cfg.a) <= band:
+        return True
+    if cfg.b != 0.0 and (coeffs.delta + 0.25) / (2.0 * abs(cfg.b)) <= band:
         return True
     return False
+
+
+def _is_admissible(cfg: FieldConfiguration, sym: SymmetryLimit, m: int, E: float) -> bool:
+    try:
+        coeffs = model.reduced_coefficients(cfg, sym, m, E)
+    except model.ExcludedEnergy:
+        return False
+    return model.admissible(coeffs) is Admissibility.ADMISSIBLE
+
+
+def _admissible_end(cfg: FieldConfiguration, sym: SymmetryLimit, m: int, E: float, inward: float) -> float:
+    """The first energy from E in the direction of ``inward`` (+1 or -1)
+    that is admissible in floating point; E when it is.  The exact edges
+    are only rounded, so this is a few ulps away at most."""
+    # mu = E -+ M rounds on the scale of |E| + M
+    x, gap = E, math.ulp(abs(E) + cfg.M)
+    for _ in range(64):
+        if _is_admissible(cfg, sym, m, x):
+            return x
+        x = E + inward * gap
+        gap *= 2.0
+    return x
+
+
+def _admissible_segments(
+    cfg: FieldConfiguration, sym: SymmetryLimit, m: int, window: SearchWindow, p2, d
+) -> list[tuple[float, float]]:
+    """The admissible part of the window: p2 > 0 and d >= 0 make one interval
+    (both are linear in E), cut in two where it contains the mass shell.
+    Both ends of each segment are admissible."""
+    lo, hi = window.e_min, window.e_max
+    if p2[1] > 0.0:
+        lo = max(lo, -p2[0] / p2[1])
+    elif not p2[0] > 0.0:
+        return []
+    if d[1] > 0.0:
+        lo = max(lo, -d[0] / d[1])
+    elif d[1] < 0.0:
+        hi = min(hi, -d[0] / d[1])
+    elif d[0] < 0.0:
+        return []
+    if not lo <= hi:
+        return []
+    lo = _admissible_end(cfg, sym, m, lo, 1.0)
+    hi = _admissible_end(cfg, sym, m, hi, -1.0)
+    if not lo <= hi:
+        return []
+    shell = sym.forbidden_energy(cfg.M)
+    if lo < shell < hi:
+        return [(lo, math.nextafter(shell, -math.inf)), (math.nextafter(shell, math.inf), hi)]
+    return [(lo, hi)]
+
+
+def _candidates(roots, p2, d, q, n: int, lo: float, hi: float) -> list[float]:
+    """The roots of P in [lo, hi] where F can vanish, clamped into [lo, hi],
+    ascending and distinct.
+
+    ``roots`` are the complex roots of P.  A near-real root stands for a
+    real root within its spread; it is kept when, at its clamped real part
+    and within that spread, q < 0 and q^2 - 4 p2 (K^2 + d) >= 0, which every
+    zero of F satisfies.  Nothing here evaluates F.
+    """
+    K2 = (2.0 * n + 1.0) ** 2
+    out = set()
+    for z in roots:
+        x, y = float(z.real), abs(float(z.imag))
+        spread = y + _CANDIDATE_SPREAD * (1.0 + abs(x))
+        if y > _IMAG_TOL * (1.0 + abs(x)) or not lo - spread <= x <= hi + spread:
+            continue
+        x = min(max(x, lo), hi)
+        p2x = p2[0] + p2[1] * x
+        dx = d[0] + d[1] * x
+        qx = q[0] + x * (q[1] + x * q[2])
+        dq = q[1] + 2.0 * q[2] * x
+        inner = qx * qx - 4.0 * p2x * (K2 + dx)
+        dinner = 2.0 * qx * dq - 4.0 * p2[1] * (K2 + dx) - 4.0 * p2x * d[1]
+        if qx < abs(dq) * spread and inner >= -abs(dinner) * spread:
+            out.add(x)
+    return sorted(out)
+
+
+def _polish(f, c: float, fc: float, left: float, right: float) -> float | None:
+    """Zero of f nearest the candidate c within [left, right], or None when
+    f does not change sign there.
+
+    Searches both sides of c, widening by _STEP_GROWTH from _FIRST_STEP,
+    for a sign change of f, and refines the bracket found by Brent's method
+    to a few ulps.  Never evaluates f outside [left, right].
+    """
+    if fc == 0.0:
+        return c
+    w = _FIRST_STEP * (1.0 + abs(c))
+    # per open side: its limit, the outermost point searched and f there
+    # (same sign as fc)
+    sides = [[limit, c, fc] for limit in (right, left) if limit != c]
+    while sides:
+        for side in list(sides):
+            limit, x_in, f_in = side
+            x = min(c + w, limit) if limit > c else max(c - w, limit)
+            fx = f(x)
+            if fx == 0.0 or (fx > 0.0) != (fc > 0.0):
+                return _brent(f, x_in, x, f_in, fx, 0.0)
+            if x == limit:
+                sides.remove(side)
+            side[1:] = x, fx
+        w *= _STEP_GROWTH
+    return None
+
+
+def _brent(f, lo: float, hi: float, flo: float, fhi: float, tol: float) -> float:
+    """Zero of f in [lo, hi], given f(lo) = flo and f(hi) = fhi of opposite
+    signs (or one of them exactly zero).
+
+    Brent's method (Brent 1973, Algorithms for Minimization without
+    Derivatives, ch. 4): inverse-quadratic or secant steps, falling back to
+    bisection whenever an interpolated step would leave the bracket or not
+    shrink it fast enough.  Every evaluation lies inside the current
+    sign-change bracket [b, c].  Stops once its half-width is <= tol / 2 plus
+    two ulps of b, and returns the end b with the smaller |f|, so a sign
+    change of f lies within tol (a few ulps with tol = 0) of the result.
+    """
+    a, fa, b, fb = lo, flo, hi, fhi
+    c, fc = a, fa
+    d = e = b - a
+    while True:
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, fa, b, fb, c, fc = b, fb, c, fc, b, fb
+        # the smallest positive float keeps the step non-zero at b = 0
+        tol1 = 2.0 * math.ulp(1.0) * abs(b) + 0.5 * tol + math.ulp(0.0)
+        m = 0.5 * (c - b)
+        if fb == 0.0 or abs(m) <= tol1:
+            return b
+        if abs(e) >= tol1 and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * m * s, 1.0 - s
+            else:  # inverse quadratic through a, b, c
+                qa, r = fa / fc, fb / fc
+                p = s * (2.0 * m * qa * (qa - r) - (b - a) * (r - 1.0))
+                q = (qa - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * m * q - abs(tol1 * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
+        else:
+            d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol1 else math.copysign(tol1, m)
+        fb = f(b)
 
 
 def find_states(
@@ -142,89 +337,71 @@ def find_states(
 ) -> list[BoundState]:
     """All roots of F in the window, ascending in E.
 
-    Roots landing within the tolerance of an admissibility boundary are
-    discarded as numerically untrustworthy; the optional diagnostics recorder
-    counts them.  An empty list is a valid result.
+    Roots landing within 10 tol of an admissibility edge or of the mass
+    shell are discarded as numerically untrustworthy; the optional
+    diagnostics recorder counts them.  An empty list is a valid result.
     """
     diag = diagnostics if diagnostics is not None else ScanDiagnostics()
-    grid = np.linspace(window.e_min, window.e_max, window.scan_points)
-    F = _condition_grid(cfg, sym, idx, grid, window.tol)
+    p2, d, q = model.coefficient_polynomials(cfg, sym, idx.m)
+    segments = _admissible_segments(cfg, sym, idx.m, window, p2, d)
+    if not segments:
+        return []
+    roots_of_p = _condition_roots(cfg, sym, idx)
 
     def f(E: float) -> float:
         return energy_condition(cfg, sym, idx, E)
 
-    states: list[BoundState] = []
-    valid = np.isfinite(F)
-    for i in range(len(grid) - 1):
-        if not (valid[i] and valid[i + 1]):
-            continue
-        if F[i] == 0.0:
-            root = float(grid[i])
-        elif F[i] * F[i + 1] < 0.0:
-            root = _bisect(f, float(grid[i]), float(grid[i + 1]), window.tol, diag)
+    roots: list[float] = []
+    for lo, hi in segments:
+        cands = _candidates(roots_of_p, p2, d, q, idx.n, lo, hi)
+        for i, c in enumerate(cands):
+            # disjoint search ranges: each root of F lies nearest its own root of P
+            left = lo if i == 0 else 0.5 * (cands[i - 1] + c)
+            right = hi if i + 1 == len(cands) else 0.5 * (c + cands[i + 1])
+            fc = f(c)
+            root = _polish(f, c, fc, left, right)
             if root is None:
+                # a tangent root: F touches zero at c without changing sign;
+                # the size of F's terms is |q| + |F - q|
+                q_c = model.reduced_coefficients(cfg, sym, idx.m, c).q
+                if abs(fc) > _ROUNDING * (abs(q_c) + abs(fc - q_c)):
+                    continue
+                root = c
+            if roots and root - roots[-1] <= _SAME_ROOT * (1.0 + abs(root)):
                 continue
-        else:
-            continue
+            roots.append(root)
+    states = []
+    for root in roots:
         if _near_boundary(cfg, sym, root, idx.m, window.tol):
             diag.boundary_discards += 1
             continue
         states.append(_package(cfg, sym, idx, root))
-    # trailing grid point can itself be an exact zero
-    if valid[-1] and F[-1] == 0.0 and not _near_boundary(cfg, sym, float(grid[-1]), idx.m, window.tol):
-        states.append(_package(cfg, sym, idx, float(grid[-1])))
-    states.sort(key=lambda s: s.E)
     return states
 
 
-def _bisect(f, lo: float, hi: float, tol: float, diag: ScanDiagnostics) -> float | None:
-    flo = f(lo)
-    fhi = f(hi)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        try:
-            fmid = f(mid)
-        except InadmissibleEnergy:
-            # admissibility gap narrower than the scan resolution
-            diag.failed_brackets += 1
-            return None
-        if fmid == 0.0:
-            return mid
-        if flo * fmid < 0.0:
-            hi, fhi = mid, fmid
-        else:
-            lo, flo = mid, fmid
-    candidates = [(lo, flo), (hi, fhi)]
-    mid = 0.5 * (lo + hi)
-    try:
-        candidates.append((mid, f(mid)))
-    except InadmissibleEnergy:
-        pass
-    return min(candidates, key=lambda p: abs(p[1]))[0]
+def log_norm_squared(n: int, alpha: float, p_tilde: float) -> float:
+    """log N^2 of the normalized radial profile,
+    N^2 = 2 p~^(alpha+1) n! / Gamma(n + alpha + 1)."""
+    return (
+        math.log(2.0)
+        + (alpha + 1.0) * math.log(p_tilde)
+        + special.log_gamma(n + 1.0)
+        - special.log_gamma(n + alpha + 1.0)
+    )
 
 
 def _package(cfg: FieldConfiguration, sym: SymmetryLimit, idx: StateIndex, E: float) -> BoundState:
     coeffs = model.reduced_coefficients(cfg, sym, idx.m, E)
     p_tilde = math.sqrt(coeffs.p2)
     alpha = math.sqrt(coeffs.delta + 0.25)
-    residual = abs(energy_condition(cfg, sym, idx, E))
-    # closed form N^2 = 2 p~^(alpha+1) n! / Gamma(n + alpha + 1)
-    log_n2 = (
-        math.log(2.0)
-        + (alpha + 1.0) * math.log(p_tilde)
-        + special.log_gamma(idx.n + 1.0)
-        - special.log_gamma(idx.n + alpha + 1.0)
-    )
     return BoundState(
         symmetry=sym,
         index=idx,
         E=E,
         p_tilde=p_tilde,
         alpha=alpha,
-        residual=residual,
-        norm_const=math.exp(0.5 * log_n2),
+        residual=abs(energy_condition(cfg, sym, idx, E)),
+        norm_const=math.exp(0.5 * log_norm_squared(idx.n, alpha, p_tilde)),
     )
 
 
@@ -288,12 +465,7 @@ def sweep(
             if last[j] is None:
                 w = window
             else:
-                w = SearchWindow(
-                    last[j] - 0.5 * width,
-                    last[j] + 0.5 * width,
-                    window.scan_points,
-                    window.tol,
-                )
+                w = SearchWindow(last[j] - 0.5 * width, last[j] + 0.5 * width, window.tol)
             roots = find_states(cfg, sym, idx, w)
             if not roots:
                 row.append(None)

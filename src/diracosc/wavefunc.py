@@ -19,7 +19,7 @@ import numpy as np
 
 from . import model, special
 from .model import FieldConfiguration
-from .spectrum import BoundState
+from .spectrum import BoundState, log_norm_squared
 
 
 @dataclass
@@ -51,10 +51,10 @@ def radial_profile(state: BoundState, r_max: float | None = None, samples: int =
 
 
 def radial_value(state: BoundState, r):
-    """g(r) for scalar or array r."""
+    """g(r) for scalar or array r, normalized by ``state.norm_const``."""
     u = state.p_tilde * r * r
     return (
-        normalization(state)
+        state.norm_const
         * np.exp(-0.5 * u)
         * r ** (state.alpha + 0.5)
         * special.laguerre(state.n, state.alpha, u)
@@ -65,15 +65,10 @@ def normalization(state: BoundState) -> float:
     """N with integral g^2 dr = 1: N^2 = 2 p~^(alpha+1) n! / Gamma(n+alpha+1).
 
     Follows from u = p~ r^2 turning the norm integral into the Laguerre
-    orthogonality integral.
+    orthogonality integral.  ``BoundState.norm_const`` holds the same value
+    for a solved state.
     """
-    log_n2 = (
-        math.log(2.0)
-        + (state.alpha + 1.0) * math.log(state.p_tilde)
-        + special.log_gamma(state.n + 1.0)
-        - special.log_gamma(state.n + state.alpha + 1.0)
-    )
-    return math.exp(0.5 * log_n2)
+    return math.exp(0.5 * log_norm_squared(state.n, state.alpha, state.p_tilde))
 
 
 def count_nodes(profile: RadialProfile) -> int:
@@ -88,18 +83,24 @@ def ode_residual(
     state: BoundState,
     cfg: FieldConfiguration,
     r_max: float | None = None,
-    h: float = 1e-3,
+    h: float | None = None,
 ) -> float:
     """Defect of g in the radial equation, max |g'' - V g| / max |g''|.
 
     V(r) = p2 r^2 + delta / r^2 + q with the coefficients evaluated at the
     state's energy; g'' comes from 5-point central differences (O(h^4)).
+    The default step 1e-3 / sqrt(p~) scales with the width of the state, so
+    every state gets 8000 samples over ``default_r_max``: at a fixed step
+    the round-off of the stencil, about eps / (h^2 p~), would swamp the
+    defect of a wide (weakly confined) state.
     Points with r < max(0.05 r_peak, 40 h) are excluded: below 0.05 r_peak
     the centrifugal term makes the ratio meaningless, and for non-integer
     exponents alpha + 1/2 the stencil needs r >> h to see a smooth function.
     """
     if r_max is None:
         r_max = default_r_max(state)
+    if h is None:
+        h = 1e-3 / math.sqrt(state.p_tilde)
     coeffs = model.reduced_coefficients(cfg, state.symmetry, state.m, state.E)
     samples = int(round(r_max / h))
     r = np.arange(1, samples + 1) * h

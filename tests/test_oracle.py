@@ -250,3 +250,21 @@ def test_wrong_symmetry_negative_control():
     grid = RadialGrid(12.0, 1500)
     E_wrong = self_consistent_energy(BARE, PS, StateIndex(0, 0), grid, (1.5, 2.2))
     assert abs(E_wrong - spin_E) > 0.1
+
+
+def test_scipy_loads_with_the_first_eigensolve():
+    # scipy.linalg dominates import time and only the oracle needs it
+    import os
+    import subprocess
+    import sys
+
+    code = (
+        "import sys, diracosc; from diracosc import oracle; "
+        "before = 'scipy.linalg' in sys.modules; "
+        "oracle.fd_eigenvalue(1.0, 0.0, oracle.RadialGrid(12.0, 200), 0); "
+        "print(before, 'scipy.linalg' in sys.modules)"
+    )
+    src = os.path.dirname(os.path.dirname(oracle.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.split() == ["False", "True"]

@@ -1,15 +1,20 @@
 import math
 import random
 
+import mpmath
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from diracosc import model, nu
 from diracosc.model import Admissibility, FieldConfiguration, StateIndex, SymmetryLimit
 from diracosc.spectrum import (
     InadmissibleEnergy,
     ScanDiagnostics,
     SearchWindow,
     SweepSpec,
-    _condition_grid,
+    _condition_polynomial,
     _near_boundary,
     default_window,
     energy_condition,
@@ -105,18 +110,87 @@ def test_empty_window_is_valid_result():
     assert states == []
 
 
-def test_doubling_scan_points_keeps_roots(regression_matrix):
-    seen = set()
-    for cfg, sym, idx, _ in regression_matrix:
-        key = (sym, idx)
-        if key in seen:
-            continue
-        seen.add(key)
-        base = find_states(cfg, sym, idx, default_window(cfg, scan_points=20000))
-        fine = find_states(cfg, sym, idx, default_window(cfg, scan_points=40000))
-        assert len(fine) >= len(base)
-        for s in base:
-            assert any(abs(s.E - t.E) < 1e-9 for t in fine), (sym, idx, s.E)
+def _poly_mul(u, v):
+    out = [mpmath.mpf(0)] * (len(u) + len(v) - 1)
+    for i, x in enumerate(u):
+        for j, y in enumerate(v):
+            out[i + j] += x * y
+    return out
+
+
+def _poly_sub(u, v):
+    n = max(len(u), len(v))
+    u = list(u) + [0] * (n - len(u))
+    v = list(v) + [0] * (n - len(v))
+    return [x - y for x, y in zip(u, v)]
+
+
+def reference_roots(cfg, sym, n, m, window, dps=50):
+    """Bound states in the window from the exact polynomial, at dps digits.
+
+    Written out from the paper's coefficients, independently of
+    ``diracosc``: P(E) = (q^2 - 4 p2 (K^2 + d))^2 - 64 K^2 p2^2 d has every
+    zero of F(E) = 2 sqrt(p2) (K + sqrt(d)) + q among its roots, found here
+    by ``mpmath.polyroots``.  A root is kept when it is real, admissible,
+    a zero of F, and (the solver's documented discard rule) further than
+    10 tol from the admissibility edges and the mass shell.
+    """
+    with mpmath.workdps(dps):
+        mp = mpmath.mpf
+        M, a, b, B, phi, e, c = (mp(x) for x in (cfg.M, cfg.a, cfg.b, cfg.B, cfg.phi_AB, cfg.e, cfg.c))
+        shift = M if sym is SP else -M  # mass factor mu = E + shift
+        m_eff = m - e * phi / (2 * mpmath.pi * c)
+        gamma = e**2 * B * phi / (2 * mpmath.pi * c**2) - e * m * B / (2 * c)
+        p2 = [2 * a * shift + (e * B) ** 2 / (4 * c**2), 2 * a]
+        d = [m_eff**2 + 2 * b * shift, 2 * b]
+        q = [gamma + M**2, mp(0), mp(-1)]
+        K = 2 * n + 1
+        inner = _poly_sub(_poly_mul(q, q), [4 * x for x in _poly_mul(p2, [K * K + d[0], d[1]])])
+        P = _poly_sub(_poly_mul(inner, inner), [64 * K * K * x for x in _poly_mul(_poly_mul(p2, p2), d)])
+        zs = mpmath.polyroots(P[::-1], maxsteps=500, extraprec=4 * dps)
+        tiny = mp(10) ** (-(dps // 3))
+        band = 10 * mp(window.tol)
+        found = []
+        for z in zs:
+            E = mpmath.re(z)
+            if abs(mpmath.im(z)) > tiny * (1 + abs(E)):
+                continue
+            p2E, dE, qE = p2[0] + p2[1] * E, d[0] + d[1] * E, q[0] + q[2] * E * E
+            if not (p2E > 0 and dE >= 0 and window.e_min <= E <= window.e_max):
+                continue
+            term = 2 * mpmath.sqrt(p2E) * (K + mpmath.sqrt(dE))
+            if abs(term + qE) > tiny * (term + abs(qE)):
+                continue  # a root of P only, from squaring
+            edges = [abs(E + shift), p2E / (2 * a) if a else mpmath.inf, dE / (2 * abs(b)) if b else mpmath.inf]
+            if min(edges) <= band:
+                continue
+            if not any(abs(E - x) <= tiny * (1 + abs(E)) for x in found):
+                found.append(E)
+        return sorted(float(E) for E in found)
+
+
+def assert_matches_reference(cfg, sym, idx, window):
+    got = [s.E for s in find_states(cfg, sym, idx, window)]
+    want = reference_roots(cfg, sym, idx.n, idx.m, window)
+    assert len(got) == len(want), (cfg, sym, idx, got, want)
+    for E, ref in zip(got, want):
+        assert abs(E - ref) <= 1e-10 * (1.0 + abs(ref)), (cfg, sym, idx, got, want)
+    return got
+
+
+def test_regression_matrix_matches_polynomial_reference(regression_matrix):
+    from conftest import REGRESSION_CONFIGS
+
+    total = 0
+    for sym, cfg in REGRESSION_CONFIGS.items():
+        for n in range(4):
+            for m in range(-2, 3):
+                got = assert_matches_reference(cfg, sym, StateIndex(n, m), default_window(cfg))
+                total += len(got)
+                if sym is SP and (n, m) in ((1, 1), (2, 1), (2, 2), (3, 1), (3, 2)):
+                    # the root ~1e-4 above the p2 = 0 edge at E = -1.03125
+                    assert any(-1.032 < E < -1.030 for E in got), (n, m, got)
+    assert total == len(regression_matrix) == 52
 
 
 def test_closed_relation_spin_no_fields():
@@ -133,24 +207,29 @@ def test_closed_relation_spin_no_fields():
             assert abs(lhs - rhs) <= 1e-9 * rhs, (n, m)
 
 
-def test_grid_condition_matches_scalar():
-    import numpy as np
-
+def test_condition_polynomial_matches_coefficients():
+    # float coefficients of P, in powers of E - origin, against P evaluated
+    # from reduced_coefficients
     rng = random.Random(2)
-    window = default_window(CLEAN)
-    grid = np.linspace(window.e_min, window.e_max, 500)
-    for sym in (PS, SP):
-        idx = StateIndex(1, -1)
-        F = _condition_grid(CLEAN, sym, idx, grid, window.tol)
-        for _ in range(50):
-            i = rng.randrange(len(grid))
-            E = float(grid[i])
-            try:
-                scalar = energy_condition(CLEAN, sym, idx, E)
-            except InadmissibleEnergy:
-                assert not np.isfinite(F[i])
-                continue
-            assert abs(F[i] - scalar) <= 1e-12 * (1.0 + abs(scalar))
+    for _ in range(300):
+        cfg = FieldConfiguration(
+            M=rng.uniform(0.5, 2.0), a=rng.uniform(0.0, 2.0), b=rng.uniform(-0.5, 1.5),
+            B=rng.uniform(-3.0, 3.0), phi_AB=rng.uniform(-3.0, 3.0),
+            e=rng.uniform(0.5, 2.0), c=rng.uniform(0.5, 2.0),
+        )
+        sym = rng.choice((PS, SP))
+        n, m = rng.randrange(6), rng.randrange(-3, 4)
+        origin = rng.choice((0.0, -cfg.M, cfg.M))
+        coeffs = _condition_polynomial(*model.coefficient_polynomials(cfg, sym, m, origin), n)
+        assert len(coeffs) == 9
+        E = rng.uniform(-(cfg.M + 20.0), cfg.M + 20.0)
+        rc = model.reduced_coefficients(cfg, sym, m, E)
+        K2 = (2 * n + 1) ** 2
+        d = rc.delta + 0.25
+        expected = (rc.q**2 - 4.0 * rc.p2 * (K2 + d)) ** 2 - 64.0 * K2 * rc.p2**2 * d
+        x = E - origin
+        size = float(np.polyval(np.abs(coeffs[::-1]), abs(x)))
+        assert abs(np.polyval(coeffs[::-1], x) - expected) <= 1e-13 * size
 
 
 def test_near_boundary_predicate():
@@ -184,8 +263,6 @@ def test_boundary_discard_counter():
 def test_window_validation():
     with pytest.raises(ValueError):
         SearchWindow(2.0, 1.0)
-    with pytest.raises(ValueError):
-        SearchWindow(0.0, 1.0, scan_points=1)
     with pytest.raises(ValueError):
         SearchWindow(0.0, 1.0, tol=0.0)
     with pytest.raises(ValueError):
@@ -233,3 +310,98 @@ def test_nonrelativistic_limit_smoke():
         eps = states[0].E - M
         ref = 2.0 * math.sqrt(1.0 / M) * (2 * n + 1 + math.sqrt(m * m + 4.0 * M))
         assert abs(eps - ref) <= 1e-3 * ref, (n, m)
+
+
+@pytest.mark.parametrize(
+    "sym, n, m, cfg",
+    [
+        # critical coupling (b = 0, m = 0), ground state 5.7e-8 above p2 = 0
+        (SP, 0, 0, FieldConfiguration(M=1.5444139620065414, a=0.4310578905580324, b=0,
+                                      B=0.02227165092411454, phi_AB=0)),
+        # n = 5 root 1.2e-6 above p2 = 0 (p~ = 1.7e-3): its NU residual needs
+        # it polished to a few ulps
+        (PS, 5, 1, FieldConfiguration(M=1.8664430669846859, a=1.1686366118338694,
+                                      b=0.5104122972824934, B=1.215368145147461,
+                                      phi_AB=0.018043446014577746)),
+    ],
+)
+def test_near_edge_roots(sym, n, m, cfg):
+    states = find_states(cfg, sym, StateIndex(n, m), default_window(cfg))
+    assert_matches_reference(cfg, sym, StateIndex(n, m), default_window(cfg))
+    p2, _, _ = model.coefficient_polynomials(cfg, sym, m)
+    edge = -p2[0] / p2[1]
+    assert 0.0 < states[0].E - edge < 2e-6
+    for s in states:
+        rc = model.reduced_coefficients(cfg, sym, m, s.E)
+        problem = nu.oscillator_problem(rc.p2, rc.q, rc.delta)
+        solution = nu.select_solution(nu.pi_candidates(problem))
+        residual = nu.eigen_condition(solution, problem, n)
+        assert abs(residual) <= 1e-9 * (1.0 + abs(solution.lam)), (s.E, residual)
+
+
+def test_heavy_mass_roots_near_the_mass_shell():
+    # M = 178: four roots of P within 0.16 of E = -M; in powers of E their
+    # float values move by 3e-3 and the bound state's one left the
+    # admissible interval, so P is expanded about -M and +M
+    cfg = FieldConfiguration(M=178.3411950212476, a=29.421926154496866, b=4.6698039210188425,
+                             B=-2.6855044372054486, phi_AB=0.0)
+    window = default_window(cfg)
+    got = [s.E for s in find_states(cfg, SP, StateIndex(2, 3), window)]
+    assert got == pytest.approx(reference_roots(cfg, SP, 2, 3, window, dps=100), rel=1e-12)
+    assert len(got) == 1 and abs(got[0] + 178.369394) < 1e-6
+
+
+def test_tangent_root_reported_once():
+    # spin, b = 0, n = 0, m = 4, flux 5 quanta: F is concave on the admissible
+    # interval; M is tuned at 50 digits so that its maximum is exactly zero
+    a, B, phi, n, m = 0.2, -2.0, 10.0 * math.pi, 0, 4
+    with mpmath.workdps(50):
+        K = 2 * n + 1
+        L = K + abs(m - mpmath.mpf(phi) / (2 * mpmath.pi))
+        gamma = mpmath.mpf(B) * phi / (2 * mpmath.pi) - m * mpmath.mpf(B) / 2
+
+        def p2(E, M):
+            return 2 * a * (E + M) + mpmath.mpf(B) ** 2 / 4
+
+        def F(E, M):
+            return 2 * mpmath.sqrt(p2(E, M)) * L + gamma + M**2 - E**2
+
+        def dF(E, M):
+            return 2 * a * L / mpmath.sqrt(p2(E, M)) - 2 * E
+
+        E_t, M_t = mpmath.findroot([F, dF], (0.32, 1.06))
+    cfg = FieldConfiguration(M=float(M_t), a=a, b=0, B=B, phi_AB=phi)
+    states = find_states(cfg, SP, StateIndex(n, m), default_window(cfg))
+    assert len(states) == 1
+    # a double root is only determined to about sqrt(machine epsilon)
+    assert abs(states[0].E - float(E_t)) <= 1e-7
+    # half a percent higher in M: two roots; lower: none
+    for scale, count in ((1.005, 2), (0.995, 0)):
+        cfg = FieldConfiguration(M=float(M_t) * scale, a=a, b=0, B=B, phi_AB=phi)
+        assert len(find_states(cfg, SP, StateIndex(n, m), default_window(cfg))) == count
+
+
+def _drawn_request(draw):
+    """A configuration drawn like the random_spectra benchmark: m = 0 at
+    critical coupling, odd n + m weakly confined, the rest generic."""
+    n = draw(st.integers(0, 5))
+    m = draw(st.integers(-3, 3))
+    sym = draw(st.sampled_from((SP, PS)))
+    M = draw(st.floats(0.5, 2.0))
+    if m == 0:
+        cfg = FieldConfiguration(M=M, a=draw(st.floats(0.2, 2.0)), b=0.0,
+                                 B=draw(st.floats(-2.0, 2.0)), phi_AB=0.0)
+    elif (n + m) % 2:
+        cfg = FieldConfiguration(M=M, a=draw(st.floats(0.005, 0.05)), b=draw(st.floats(-0.3, 1.5)),
+                                 B=draw(st.floats(-0.5, 0.5)), phi_AB=draw(st.floats(-3.0, 3.0)))
+    else:
+        cfg = FieldConfiguration(M=M, a=draw(st.floats(0.2, 2.0)), b=draw(st.floats(-0.3, 1.5)),
+                                 B=draw(st.floats(-3.0, 3.0)), phi_AB=draw(st.floats(-3.0, 3.0)))
+    return cfg, sym, StateIndex(n, m)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(st.data())
+def test_random_configurations_match_polynomial_reference(data):
+    cfg, sym, idx = _drawn_request(data.draw)
+    assert_matches_reference(cfg, sym, idx, default_window(cfg))

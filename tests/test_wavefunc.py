@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -136,3 +137,13 @@ def test_radial_profile_validation():
     state = bare_state(0, 0)
     with pytest.raises(ValueError):
         radial_profile(state, r_max=0.0)
+
+
+def test_norm_quadrature_of_weakly_confined_state():
+    # p~ = 2.8e-5, alpha = 2.6: the mass of g^2 sits at r ~ 400, t > 0.997
+    # after the half-line map; a quadrature started from one 3-point panel
+    # returned 3e-12 here
+    state = synthetic_state(2.8228100508637435e-05, 2.587160569959473, n=4)
+    state = replace(state, norm_const=normalization(state))
+    total = integrate_halfline(lambda r: radial_value(state, r) ** 2)
+    assert abs(total - 1.0) <= 1e-9
