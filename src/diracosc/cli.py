@@ -101,7 +101,7 @@ def _window(args: argparse.Namespace, cfg: FieldConfiguration) -> SearchWindow:
     e_max = _merged(args, "emax", default=cfg.M + 20.0)
     tol = _merged(args, "tol", default=1e-12)
     try:
-        return SearchWindow(float(e_min), float(e_max), float(tol))
+        return SearchWindow(float(e_min), float(e_max), tol=float(tol))
     except ValueError as exc:
         raise CliError(f"invalid window flags: {exc}") from None
 

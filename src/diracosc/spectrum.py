@@ -66,7 +66,8 @@ class SearchWindow:
 
     e_min: float
     e_max: float
-    tol: float = 1e-12
+    # keyword-only: a positional third argument once meant a scan-point count
+    tol: float = field(default=1e-12, kw_only=True)
 
     def __post_init__(self) -> None:
         if not self.e_min < self.e_max:
@@ -77,7 +78,7 @@ class SearchWindow:
 
 def default_window(cfg: FieldConfiguration, *, tol: float = 1e-12) -> SearchWindow:
     """[-(M + 20), M + 20], wide enough for desk-scale configurations."""
-    return SearchWindow(-(cfg.M + 20.0), cfg.M + 20.0, tol)
+    return SearchWindow(-(cfg.M + 20.0), cfg.M + 20.0, tol=tol)
 
 
 @dataclass(frozen=True)
@@ -154,23 +155,32 @@ def _condition_roots(cfg: FieldConfiguration, sym: SymmetryLimit, idx: StateInde
     return np.concatenate((below[below.real <= _CANDIDATE_SPREAD], above[above.real >= -_CANDIDATE_SPREAD]))
 
 
-def _near_boundary(cfg: FieldConfiguration, sym: SymmetryLimit, E: float, m: int, tol: float) -> bool:
-    """True when E is within 10 tol of the mass shell or of a point where a
-    radicand crosses zero.
+def _boundaries(cfg: FieldConfiguration, sym: SymmetryLimit, p2, d) -> list[float]:
+    """The mass shell and the energies where p2 or d = delta + 1/4 crosses
+    zero, from their coefficient polynomials (``model.coefficient_polynomials``).
 
-    The crossing distance is measured in energy via the exact slopes
-    d(p2)/dE = 2a and d(delta)/dE = 2b; a radicand that does not vary with E
-    (a = 0 or b = 0) has no boundary to cross.
+    Both are linear in E; one that does not vary with E (a = 0 or b = 0) has
+    no crossing.
     """
+    return [sym.forbidden_energy(cfg.M)] + [-c[0] / c[1] for c in (p2, d) if c[1] != 0.0]
+
+
+def _near_boundary(
+    cfg: FieldConfiguration,
+    sym: SymmetryLimit,
+    E: float,
+    m: int,
+    tol: float,
+    boundaries: list[float] | None = None,
+) -> bool:
+    """True when E is within 10 tol of the mass shell or of a point where a
+    radicand crosses zero; ``boundaries`` are those points from
+    ``_boundaries``, computed here when not given."""
+    if boundaries is None:
+        p2, d, _ = model.coefficient_polynomials(cfg, sym, m)
+        boundaries = _boundaries(cfg, sym, p2, d)
     band = _SHELL_EXCLUSION * tol
-    if abs(E - sym.forbidden_energy(cfg.M)) <= band:
-        return True
-    coeffs = model.reduced_coefficients(cfg, sym, m, E)
-    if cfg.a > 0.0 and coeffs.p2 / (2.0 * cfg.a) <= band:
-        return True
-    if cfg.b != 0.0 and (coeffs.delta + 0.25) / (2.0 * abs(cfg.b)) <= band:
-        return True
-    return False
+    return any(abs(E - x) <= band for x in boundaries)
 
 
 def _is_admissible(cfg: FieldConfiguration, sym: SymmetryLimit, m: int, E: float) -> bool:
@@ -370,9 +380,10 @@ def find_states(
             if roots and root - roots[-1] <= _SAME_ROOT * (1.0 + abs(root)):
                 continue
             roots.append(root)
+    boundaries = _boundaries(cfg, sym, p2, d)
     states = []
     for root in roots:
-        if _near_boundary(cfg, sym, root, idx.m, window.tol):
+        if _near_boundary(cfg, sym, root, idx.m, window.tol, boundaries):
             diag.boundary_discards += 1
             continue
         states.append(_package(cfg, sym, idx, root))
@@ -465,7 +476,7 @@ def sweep(
             if last[j] is None:
                 w = window
             else:
-                w = SearchWindow(last[j] - 0.5 * width, last[j] + 0.5 * width, window.tol)
+                w = SearchWindow(last[j] - 0.5 * width, last[j] + 0.5 * width, tol=window.tol)
             roots = find_states(cfg, sym, idx, w)
             if not roots:
                 row.append(None)

@@ -255,7 +255,7 @@ def test_boundary_discard_counter():
     cfg = FieldConfiguration(M=1, a=1, b=0, B=1.0, phi_AB=flux)
     diag = ScanDiagnostics()
     states = find_states(cfg, PS, StateIndex(0, 0),
-                         SearchWindow(E_b - 1e-9, E_b + 1e-9, 2000), diag)
+                         SearchWindow(E_b - 1e-9, E_b + 1e-9), diag)
     assert states == []
     assert diag.boundary_discards >= 1
 
