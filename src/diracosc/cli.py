@@ -97,9 +97,10 @@ def _symmetry(args: argparse.Namespace) -> SymmetryLimit:
 
 
 def _window(args: argparse.Namespace, cfg: FieldConfiguration) -> SearchWindow:
-    e_min = _merged(args, "emin", default=-(cfg.M + 20.0))
-    e_max = _merged(args, "emax", default=cfg.M + 20.0)
-    tol = _merged(args, "tol", default=1e-12)
+    default = spectrum.default_window(cfg)
+    e_min = _merged(args, "emin", default=default.e_min)
+    e_max = _merged(args, "emax", default=default.e_max)
+    tol = _merged(args, "tol", default=default.tol)
     try:
         return SearchWindow(float(e_min), float(e_max), tol=float(tol))
     except ValueError as exc:
@@ -202,8 +203,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(_sweep_csv(args.vary, table))
     if args.plot:
-        values, columns, labels = _parse_sweep_csv(args.out)
-        svg = svg_linechart(args.vary, values, columns, labels)
+        columns = [table.column(j) for j in range(len(states))]
+        labels = [f"n={s.n}, m={s.m}" for s in states]
+        svg = svg_linechart(args.vary, table.values, columns, labels)
         with open(args.plot, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(svg)
     return 0
@@ -216,25 +218,6 @@ def _sweep_csv(param_label: str, table: spectrum.SweepTable) -> str:
         cells = [fmt(value)] + ["" if e is None else fmt(e) for e in row]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
-
-
-def _parse_sweep_csv(path: str):
-    """Read back an emitted sweep CSV: values, energy columns, legend labels."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln]
-    header = lines[0].split(",")
-    labels = []
-    for name in header[1:]:
-        _, n, m = name.split("_")
-        labels.append(f"n={n}, m={m}")
-    values = []
-    columns: list[list[float | None]] = [[] for _ in header[1:]]
-    for line in lines[1:]:
-        cells = line.split(",")
-        values.append(float(cells[0]))
-        for j, cell in enumerate(cells[1:]):
-            columns[j].append(float(cell) if cell else None)
-    return values, columns, labels
 
 
 # ---------------------------------------------------------------------------

@@ -136,12 +136,14 @@ def pi_candidates(problem: HypergeometricProblem) -> list[NUSolution]:
         A = a0 + k * s2
         B = b0 + k * s1
         C = c0 + k * s0
-        mag = abs(A) + abs(B) + abs(C) + 1e-300
-        if A > _DISC_TOL * mag:
+        # A and C are zero to rounding against the size of their own terms:
+        # a small A beside a large B or C is still a genuine s^2 term
+        a_size = h1 * h1 + abs(g2) + abs(k * s2)
+        if A > _DISC_TOL * a_size:
             w1 = sqrt(A)
             w0 = B / (2.0 * w1)
-        elif A >= -_DISC_TOL * mag:
-            if C < -_DISC_TOL * mag:
+        elif A >= -_DISC_TOL * a_size:
+            if C < -_DISC_TOL * (h0 * h0 + abs(g0) + abs(k * s0)):
                 continue  # sqrt of a negative constant: no real pi
             w1 = 0.0
             w0 = sqrt(max(C, 0.0))

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import model
 from .model import Admissibility, FieldConfiguration, StateIndex, SymmetryLimit
-from .spectrum import SearchWindow, _brent, find_states
+from .spectrum import SearchWindow, _boundaries, _brent, find_states
 
 
 class GridTooCoarse(RuntimeError):
@@ -56,10 +56,10 @@ class RadialGrid:
         return self.r_max / (self.points + 1)
 
 
-def default_grid(P: float, points: int = 6000) -> RadialGrid:
-    """Truncation radius max(8/sqrt(P), 12): exponentially small tail error
+def default_grid(P: float) -> RadialGrid:
+    """6000 points up to max(8/sqrt(P), 12): exponentially small tail error
     for the Gaussian-decaying states, generous for weak confinement."""
-    return RadialGrid(r_max=max(8.0 / math.sqrt(P), 12.0), points=points)
+    return RadialGrid(r_max=max(8.0 / math.sqrt(P), 12.0), points=6000)
 
 
 def sturm_count(diag: np.ndarray, off2: float, x: float) -> int:
@@ -138,10 +138,9 @@ def self_consistent_energy(
     idx: StateIndex,
     grid: RadialGrid,
     window: tuple[float, float],
-    tol: float = 1e-8,
 ) -> float:
     """Root of G(E) = mu_n(P(E), D(E)) - (E^2 - M^2 - gamma) by Brent's method,
-    to within tol.
+    to within 1e-8.
 
     The window must bracket exactly one root (callers center it on an
     analytic root of ``find_states``); both endpoints must be admissible
@@ -165,7 +164,7 @@ def self_consistent_energy(
         return hi
     if glo * ghi > 0.0:
         raise NoSignChange(f"G has no sign change on [{lo}, {hi}]")
-    root = _brent(G, lo, hi, glo, ghi, tol)
+    root = _brent(G, lo, hi, glo, ghi, 1e-8)
     # final index verification at the converged energy
     coeffs = model.reduced_coefficients(cfg, sym, idx.m, root)
     fd_eigenvalue(coeffs.p2, coeffs.delta, grid, idx.n, verify_index=True)
@@ -205,6 +204,8 @@ def compare(
             return [OracleComparison(None, None, None)]
         return [OracleComparison(None, oracle_E, None)]
 
+    p2, d, _ = model.coefficient_polynomials(cfg, sym, idx.m)
+    edges = _boundaries(cfg, sym, p2, d)
     reports = []
     for i, state in enumerate(analytic):
         half = 0.1
@@ -212,7 +213,10 @@ def compare(
             half = min(half, 0.45 * (state.E - analytic[i - 1].E))
         if i + 1 < len(analytic):
             half = min(half, 0.45 * (analytic[i + 1].E - state.E))
-        bracket = _admissible_bracket(cfg, sym, idx.m, state.E, half)
+        # half the distance to the nearest edge or mass shell keeps both
+        # ends admissible, and G off the edge, where the grid is least accurate
+        half = min([half] + [0.5 * abs(state.E - x) for x in edges])
+        bracket = (state.E - half, state.E + half)
         g = grid if grid is not None else default_grid(state.p_tilde**2)
         try:
             oracle_E = self_consistent_energy(cfg, sym, idx, g, bracket)
@@ -221,24 +225,3 @@ def compare(
             continue
         reports.append(OracleComparison(state.E, oracle_E, abs(state.E - oracle_E)))
     return reports
-
-
-def _admissible_bracket(
-    cfg: FieldConfiguration, sym: SymmetryLimit, m: int, E: float, half: float
-) -> tuple[float, float]:
-    """Shrink [E-half, E+half] until both endpoints are admissible."""
-    for _ in range(60):
-        ok = True
-        for end in (E - half, E + half):
-            try:
-                coeffs = model.reduced_coefficients(cfg, sym, m, end)
-            except model.ExcludedEnergy:
-                ok = False
-                break
-            if model.admissible(coeffs) is not Admissibility.ADMISSIBLE:
-                ok = False
-                break
-        if ok:
-            return (E - half, E + half)
-        half *= 0.5
-    raise ValueError(f"could not build an admissible bracket around E = {E}")

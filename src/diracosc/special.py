@@ -99,7 +99,7 @@ def log_gamma(x: float) -> float:
     return _HALF_LOG_TWO_PI + (z + 0.5) * math.log(t) - t + math.log(acc)
 
 
-def integrate_halfline(f, rel_tol: float = 1e-10, max_depth: int = 72) -> float:
+def integrate_halfline(f, rel_tol: float = 1e-10) -> float:
     """Integrate f over (0, inf) by adaptive Simpson quadrature.
 
     The substitution x = t/(1-t) maps the half line onto (0, 1); the
@@ -120,6 +120,7 @@ def integrate_halfline(f, rel_tol: float = 1e-10, max_depth: int = 72) -> float:
     # 3-point panel can converge falsely on an integrand whose mass sits in
     # a sliver of (0, 1), such as a weakly confined state near t = 1
     start_depth = 6
+    max_depth = 72
     panels = 2**start_depth
     t = [i / panels for i in range(panels + 1)]
     gt = [g(x) for x in t]

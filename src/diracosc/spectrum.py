@@ -59,7 +59,7 @@ class InadmissibleEnergy(ValueError):
         super().__init__(f"E = {E} inadmissible: {verdict.value}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SearchWindow:
     """Energy interval [e_min, e_max] to enumerate; roots within
     10 tol of an admissibility edge or of the mass shell are discarded."""
@@ -76,9 +76,9 @@ class SearchWindow:
             raise ValueError(f"tol must be > 0, got {self.tol}")
 
 
-def default_window(cfg: FieldConfiguration, *, tol: float = 1e-12) -> SearchWindow:
+def default_window(cfg: FieldConfiguration) -> SearchWindow:
     """[-(M + 20), M + 20], wide enough for desk-scale configurations."""
-    return SearchWindow(-(cfg.M + 20.0), cfg.M + 20.0, tol=tol)
+    return SearchWindow(-(cfg.M + 20.0), cfg.M + 20.0)
 
 
 @dataclass(frozen=True)
@@ -165,20 +165,9 @@ def _boundaries(cfg: FieldConfiguration, sym: SymmetryLimit, p2, d) -> list[floa
     return [sym.forbidden_energy(cfg.M)] + [-c[0] / c[1] for c in (p2, d) if c[1] != 0.0]
 
 
-def _near_boundary(
-    cfg: FieldConfiguration,
-    sym: SymmetryLimit,
-    E: float,
-    m: int,
-    tol: float,
-    boundaries: list[float] | None = None,
-) -> bool:
-    """True when E is within 10 tol of the mass shell or of a point where a
-    radicand crosses zero; ``boundaries`` are those points from
-    ``_boundaries``, computed here when not given."""
-    if boundaries is None:
-        p2, d, _ = model.coefficient_polynomials(cfg, sym, m)
-        boundaries = _boundaries(cfg, sym, p2, d)
+def _near_boundary(E: float, tol: float, boundaries: list[float]) -> bool:
+    """True when E is within 10 tol of one of the ``boundaries`` (from
+    ``_boundaries``): the mass shell or a point where a radicand crosses zero."""
     band = _SHELL_EXCLUSION * tol
     return any(abs(E - x) <= band for x in boundaries)
 
@@ -383,7 +372,7 @@ def find_states(
     boundaries = _boundaries(cfg, sym, p2, d)
     states = []
     for root in roots:
-        if _near_boundary(cfg, sym, root, idx.m, window.tol, boundaries):
+        if _near_boundary(root, window.tol, boundaries):
             diag.boundary_discards += 1
             continue
         states.append(_package(cfg, sym, idx, root))
@@ -416,7 +405,7 @@ def _package(cfg: FieldConfiguration, sym: SymmetryLimit, idx: StateIndex, E: fl
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class SweepSpec:
     """Grid over one external-field parameter."""
 
@@ -438,7 +427,7 @@ class SweepSpec:
         ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SweepTable:
     """One row per grid value, one energy column per state; None marks an
     empty cell (no root in the window)."""
@@ -446,7 +435,7 @@ class SweepTable:
     parameter: str
     values: list[float]
     states: list[StateIndex]
-    energies: list[list[float | None]] = field(default_factory=list)
+    energies: list[list[float | None]]
 
     def column(self, j: int) -> list[float | None]:
         return [row[j] for row in self.energies]
@@ -466,10 +455,11 @@ def sweep(
     follows one branch continuously; the first point (and a fresh start after
     a gap) takes the lowest root in the base window.
     """
-    table = SweepTable(parameter=vary.parameter, values=vary.values(), states=list(states))
+    values = vary.values()
+    energies = []
     width = window.e_max - window.e_min
     last: list[float | None] = [None] * len(states)
-    for value in table.values:
+    for value in values:
         cfg = replace(cfg_template, **{vary.parameter: value})
         row: list[float | None] = []
         for j, idx in enumerate(states):
@@ -487,5 +477,5 @@ def sweep(
                 best = min(roots, key=lambda s: abs(s.E - last[j]))
             last[j] = best.E
             row.append(best.E)
-        table.energies.append(row)
-    return table
+        energies.append(row)
+    return SweepTable(vary.parameter, values, list(states), energies)

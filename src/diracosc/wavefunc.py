@@ -22,7 +22,7 @@ from .model import FieldConfiguration
 from .spectrum import BoundState, log_norm_squared
 
 
-@dataclass
+@dataclass(frozen=True)
 class RadialProfile:
     state: BoundState | None
     r: np.ndarray
@@ -79,28 +79,21 @@ def count_nodes(profile: RadialProfile) -> int:
     return int(np.sum(signs[1:] != signs[:-1]))
 
 
-def ode_residual(
-    state: BoundState,
-    cfg: FieldConfiguration,
-    r_max: float | None = None,
-    h: float | None = None,
-) -> float:
+def ode_residual(state: BoundState, cfg: FieldConfiguration) -> float:
     """Defect of g in the radial equation, max |g'' - V g| / max |g''|.
 
     V(r) = p2 r^2 + delta / r^2 + q with the coefficients evaluated at the
     state's energy; g'' comes from 5-point central differences (O(h^4)).
-    The default step 1e-3 / sqrt(p~) scales with the width of the state, so
-    every state gets 8000 samples over ``default_r_max``: at a fixed step
+    The step 1e-3 / sqrt(p~) scales with the width of the state, so every
+    state gets 8000 samples over ``default_r_max``: at a fixed step
     the round-off of the stencil, about eps / (h^2 p~), would swamp the
     defect of a wide (weakly confined) state.
     Points with r < max(0.05 r_peak, 40 h) are excluded: below 0.05 r_peak
     the centrifugal term makes the ratio meaningless, and for non-integer
     exponents alpha + 1/2 the stencil needs r >> h to see a smooth function.
     """
-    if r_max is None:
-        r_max = default_r_max(state)
-    if h is None:
-        h = 1e-3 / math.sqrt(state.p_tilde)
+    r_max = default_r_max(state)
+    h = 1e-3 / math.sqrt(state.p_tilde)
     coeffs = model.reduced_coefficients(cfg, state.symmetry, state.m, state.E)
     samples = int(round(r_max / h))
     r = np.arange(1, samples + 1) * h

@@ -12,6 +12,12 @@ REGRESSION_CONFIGS = {
 
 
 @pytest.fixture(scope="session")
+def regression_configs():
+    """The regression matrix's field configuration per symmetry."""
+    return REGRESSION_CONFIGS
+
+
+@pytest.fixture(scope="session")
 def regression_matrix():
     """Every bound state of the regression matrix: (cfg, sym, idx, state)."""
     rows = []

@@ -3,7 +3,9 @@ import math
 
 import pytest
 
-from diracosc.cli import main, svg_linechart, _parse_sweep_csv
+from diracosc.cli import main, svg_linechart
+from diracosc.model import FieldConfiguration, StateIndex, SymmetryLimit
+from diracosc.spectrum import SweepSpec, default_window, sweep
 
 BARE_SPIN = ["--symmetry", "spin", "--M", "1", "--a", "1", "--b", "0", "--B", "0", "--flux", "0"]
 
@@ -124,9 +126,12 @@ def test_sweep_svg_deterministic_roundtrip(tmp_path, capsys):
     assert csv1.read_bytes() == csv2.read_bytes()
     assert svg1.read_bytes() == svg2.read_bytes()
 
-    # re-plotting from the emitted CSV reproduces the SVG byte stream
-    values, columns, labels = _parse_sweep_csv(str(csv1))
-    assert svg_linechart("B", values, columns, labels) == svg1.read_text()
+    # the SVG is the chart of the library's sweep table
+    cfg = FieldConfiguration(M=1, a=1, b=1, B=0.5, phi_AB=1)
+    table = sweep(cfg, SymmetryLimit.PSEUDOSPIN, [StateIndex(0, 0), StateIndex(1, 0)],
+                  SweepSpec("B", 0.5, 3.0, 6), default_window(cfg))
+    columns = [table.column(0), table.column(1)]
+    assert svg_linechart("B", table.values, columns, ["n=0, m=0", "n=1, m=0"]) == svg1.read_text()
     assert "<svg" in svg1.read_text() and "polyline" in svg1.read_text()
     assert "n=0, m=0" in svg1.read_text()
 

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from diracosc.model import FieldConfiguration, SymmetryLimit, reduced_coefficients
 from diracosc.nu import (
     DegenerateSigma,
     HypergeometricProblem,
@@ -232,3 +233,16 @@ def test_family_eigencondition_matches_closed_form():
             assert abs(engine - closed) <= 1e-12 * (1.0 + abs(closed))
             lam_n = sel.lam - eigen_condition(sel, prob, n)
             assert abs(lam_n - 2.0 * p_tilde * n) <= 1e-12 * (1.0 + 2.0 * p_tilde * n)
+
+
+def test_bound_branch_of_weakly_confined_state():
+    # pseudospin n = 3, m = -2 root 7e-9 above the p2 = 0 edge: A = p2 = 4e-10
+    # beside |q| = 3.6e-4 and delta = 4.08 is a genuine s^2 term, so the bound
+    # branch exists and has pi slope -sqrt(p2)
+    cfg = FieldConfiguration(M=1.4005175738552251, a=0.028931403512483585, b=0.9327215090425947,
+                             B=-0.09146022511954033, phi_AB=0.6066942147501027)
+    rc = reduced_coefficients(cfg, SymmetryLimit.PSEUDOSPIN, -2, 1.3643761749194634)
+    prob = oscillator_problem(rc.p2, rc.q, rc.delta)
+    sel = select_solution(pi_candidates(prob))
+    assert close(sel.pi[1], -math.sqrt(rc.p2), 1e-9)
+    assert abs(eigen_condition(sel, prob, 3)) <= 1e-9 * (1.0 + abs(sel.lam))

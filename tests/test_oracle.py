@@ -18,7 +18,7 @@ from diracosc.oracle import (
     self_consistent_energy,
     sturm_count,
 )
-from diracosc.spectrum import SearchWindow, find_states
+from diracosc.spectrum import SearchWindow, default_window, find_states
 
 PS = SymmetryLimit.PSEUDOSPIN
 SP = SymmetryLimit.SPIN
@@ -236,6 +236,16 @@ def test_compare_regression_entry():
     rep = reports[0]
     assert rep.analytic_E is not None and rep.oracle_E is not None
     assert rep.abs_diff <= 1e-6
+
+
+def test_compare_confirms_roots_near_an_edge():
+    # the n = 5 state of test_near_edge_roots: its ground root lies 1.2e-6
+    # above p2 = 0, so the bracket is cut to half its distance from the edge
+    cfg = FieldConfiguration(M=1.8664430669846859, a=1.1686366118338694, b=0.5104122972824934,
+                             B=1.215368145147461, phi_AB=0.018043446014577746)
+    reports = compare(cfg, PS, StateIndex(5, 1), None, default_window(cfg))
+    assert len(reports) == 2
+    assert all(rep.abs_diff is not None and rep.abs_diff <= 1e-8 for rep in reports)
 
 
 def test_compare_absent_in_both():

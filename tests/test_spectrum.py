@@ -14,6 +14,7 @@ from diracosc.spectrum import (
     ScanDiagnostics,
     SearchWindow,
     SweepSpec,
+    _boundaries,
     _condition_polynomial,
     _near_boundary,
     default_window,
@@ -178,11 +179,9 @@ def assert_matches_reference(cfg, sym, idx, window):
     return got
 
 
-def test_regression_matrix_matches_polynomial_reference(regression_matrix):
-    from conftest import REGRESSION_CONFIGS
-
+def test_regression_matrix_matches_polynomial_reference(regression_configs, regression_matrix):
     total = 0
-    for sym, cfg in REGRESSION_CONFIGS.items():
+    for sym, cfg in regression_configs.items():
         for n in range(4):
             for m in range(-2, 3):
                 got = assert_matches_reference(cfg, sym, StateIndex(n, m), default_window(cfg))
@@ -233,17 +232,21 @@ def test_condition_polynomial_matches_coefficients():
 
 
 def test_near_boundary_predicate():
+    def boundaries(cfg, sym, m):
+        p2, d, _ = model.coefficient_polynomials(cfg, sym, m)
+        return _boundaries(cfg, sym, p2, d)
+
     # p2 = 2(E-1) + 1 crosses zero at E = 0.5 (b = 0 keeps delta constant)
     cfg = FieldConfiguration(M=1, a=1, b=0, B=2, phi_AB=0)
-    assert _near_boundary(cfg, PS, 0.5 + 5e-12, 0, tol=1e-12)
-    assert not _near_boundary(cfg, PS, 0.5 + 1e-6, 0, tol=1e-12)
+    assert _near_boundary(0.5 + 5e-12, 1e-12, boundaries(cfg, PS, 0))
+    assert not _near_boundary(0.5 + 1e-6, 1e-12, boundaries(cfg, PS, 0))
     # delta + 1/4 = 4 + 2(E-1) crosses zero at E = -1; a = 0 keeps p2 constant
     cfg_b = FieldConfiguration(M=1, a=0, b=1, B=2, phi_AB=0)
-    assert _near_boundary(cfg_b, PS, -1.0 + 5e-12, 2, tol=1e-12)
-    assert not _near_boundary(cfg_b, PS, -1.0 + 1e-6, 2, tol=1e-12)
+    assert _near_boundary(-1.0 + 5e-12, 1e-12, boundaries(cfg_b, PS, 2))
+    assert not _near_boundary(-1.0 + 1e-6, 1e-12, boundaries(cfg_b, PS, 2))
     # the bare-oscillator root: delta = -1/4 identically (b = 0) is critical
     # but not a crossing, and p2 is far from zero there
-    assert not _near_boundary(BARE, SP, 2.5097553, 0, tol=1e-12)
+    assert not _near_boundary(2.5097553, 1e-12, boundaries(BARE, SP, 0))
 
 
 def test_boundary_discard_counter():
