@@ -100,9 +100,8 @@ def _window(args: argparse.Namespace, cfg: FieldConfiguration) -> SearchWindow:
     default = spectrum.default_window(cfg)
     e_min = _merged(args, "emin", default=default.e_min)
     e_max = _merged(args, "emax", default=default.e_max)
-    tol = _merged(args, "tol", default=default.tol)
     try:
-        return SearchWindow(float(e_min), float(e_max), tol=float(tol))
+        return SearchWindow(float(e_min), float(e_max))
     except ValueError as exc:
         raise CliError(f"invalid window flags: {exc}") from None
 
@@ -459,12 +458,6 @@ def _add_field_flags(p: argparse.ArgumentParser) -> None:
 def _add_window_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--emin", type=float, help="window lower edge (default -(M+20))")
     p.add_argument("--emax", type=float, help="window upper edge (default M+20)")
-    p.add_argument(
-        "--tol",
-        type=float,
-        help="roots within 10*tol of an admissibility edge or of the mass shell "
-        "are discarded (default 1e-12)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:

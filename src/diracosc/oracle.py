@@ -27,7 +27,7 @@ import numpy as np
 
 from . import model
 from .model import Admissibility, FieldConfiguration, StateIndex, SymmetryLimit
-from .spectrum import SearchWindow, _boundaries, _brent, find_states
+from .spectrum import SearchWindow, _brent, find_states
 
 
 class GridTooCoarse(RuntimeError):
@@ -204,8 +204,6 @@ def compare(
             return [OracleComparison(None, None, None)]
         return [OracleComparison(None, oracle_E, None)]
 
-    p2, d, _ = model.coefficient_polynomials(cfg, sym, idx.m)
-    edges = _boundaries(cfg, sym, p2, d)
     reports = []
     for i, state in enumerate(analytic):
         half = 0.1
@@ -213,9 +211,10 @@ def compare(
             half = min(half, 0.45 * (state.E - analytic[i - 1].E))
         if i + 1 < len(analytic):
             half = min(half, 0.45 * (analytic[i + 1].E - state.E))
-        # half the distance to the nearest edge or mass shell keeps both
-        # ends admissible, and G off the edge, where the grid is least accurate
-        half = min([half] + [0.5 * abs(state.E - x) for x in edges])
+        # half the distance to the state's origin, the nearest edge or mass
+        # shell, keeps both ends admissible, and G off the edge, where the
+        # grid is least accurate
+        half = min(half, 0.5 * abs(state.E - state.origin))
         bracket = (state.E - half, state.E + half)
         g = grid if grid is not None else default_grid(state.p_tilde**2)
         try:

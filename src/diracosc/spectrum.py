@@ -17,22 +17,21 @@ itself by Brent's method, inside the admissible interval, whose edges are
 exact because p2 and d are linear.  A root is accepted only where F changes
 sign, or touches zero at rounding level, so the spurious roots that
 squaring adds are never reported.  Both positive- and negative-energy roots
-are reported.
+are reported, down to a few ulps from an edge.  There E resolves p2 only to
+ulp(E) / (E - edge), so each root is solved again in its offset from the
+nearest edge or mass shell, and the state's coefficients come from that.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import model, special
 from .model import Admissibility, FieldConfiguration, StateIndex, SymmetryLimit
 
-# discard half-width around the admissibility edges and the forbidden mass
-# shell, in units of the window tolerance
-_SHELL_EXCLUSION = 10.0
 # a root of P further than this (relative) from the real axis is complex
 _IMAG_TOL = 1e-3
 # distance (relative) a float root of P may sit from the exact one, on top of
@@ -61,19 +60,15 @@ class InadmissibleEnergy(ValueError):
 
 @dataclass(frozen=True)
 class SearchWindow:
-    """Energy interval [e_min, e_max] to enumerate; roots within
-    10 tol of an admissibility edge or of the mass shell are discarded."""
+    """Energy interval [e_min, e_max] to enumerate; every root of F in it is
+    reported, up to the edges of the admissible set."""
 
     e_min: float
     e_max: float
-    # keyword-only: a positional third argument once meant a scan-point count
-    tol: float = field(default=1e-12, kw_only=True)
 
     def __post_init__(self) -> None:
         if not self.e_min < self.e_max:
             raise ValueError(f"need e_min < e_max, got [{self.e_min}, {self.e_max}]")
-        if not self.tol > 0.0:
-            raise ValueError(f"tol must be > 0, got {self.tol}")
 
 
 def default_window(cfg: FieldConfiguration) -> SearchWindow:
@@ -83,11 +78,15 @@ def default_window(cfg: FieldConfiguration) -> SearchWindow:
 
 @dataclass(frozen=True)
 class BoundState:
-    """A solved level, self-contained for wave-function reconstruction."""
+    """A solved level, self-contained for wave-function reconstruction.
+    offset is the root less origin, the nearest of ``_boundaries``, to full
+    relative precision; p_tilde, alpha, residual and the norm come from it."""
 
     symmetry: SymmetryLimit
     index: StateIndex
     E: float
+    origin: float
+    offset: float
     p_tilde: float
     alpha: float
     residual: float
@@ -102,13 +101,6 @@ class BoundState:
         return self.index.m
 
 
-@dataclass
-class ScanDiagnostics:
-    """Mutable recorder for root-isolation pathologies."""
-
-    boundary_discards: int = 0
-
-
 def energy_condition(cfg: FieldConfiguration, sym: SymmetryLimit, idx: StateIndex, E: float) -> float:
     """F(E); raises InadmissibleEnergy outside the admissible set."""
     try:
@@ -118,10 +110,11 @@ def energy_condition(cfg: FieldConfiguration, sym: SymmetryLimit, idx: StateInde
     verdict = model.admissible(coeffs)
     if verdict is not Admissibility.ADMISSIBLE:
         raise InadmissibleEnergy(verdict, E)
-    return (
-        2.0 * math.sqrt(coeffs.p2) * (2.0 * idx.n + 1.0 + math.sqrt(coeffs.delta + 0.25))
-        + coeffs.q
-    )
+    return _condition(coeffs.p2, coeffs.delta + 0.25, coeffs.q, idx.n)
+
+
+def _condition(p2: float, d: float, q: float, n: int) -> float:
+    return 2.0 * math.sqrt(p2) * (2.0 * n + 1.0 + math.sqrt(d)) + q
 
 
 def _condition_polynomial(p2, d, q, n: int) -> np.ndarray:
@@ -165,11 +158,25 @@ def _boundaries(cfg: FieldConfiguration, sym: SymmetryLimit, p2, d) -> list[floa
     return [sym.forbidden_energy(cfg.M)] + [-c[0] / c[1] for c in (p2, d) if c[1] != 0.0]
 
 
-def _near_boundary(E: float, tol: float, boundaries: list[float]) -> bool:
-    """True when E is within 10 tol of one of the ``boundaries`` (from
-    ``_boundaries``): the mass shell or a point where a radicand crosses zero."""
-    band = _SHELL_EXCLUSION * tol
-    return any(abs(E - x) <= band for x in boundaries)
+def _local_polynomials(cfg: FieldConfiguration, sym: SymmetryLimit, m: int, origin: float):
+    """(p2, d, q) of ``model.coefficient_polynomials`` about origin, one of
+    ``_boundaries``, with an exact zero constant term for the radicand that
+    vanishes there: each keeps its relative precision down to x = 0."""
+    p2, d, _ = model.coefficient_polynomials(cfg, sym, m)
+    zeros = [c[1] != 0.0 and origin == -c[0] / c[1] for c in (p2, d)]
+    p2, d, q = model.coefficient_polynomials(cfg, sym, m, origin)
+    p2, d = ((0.0, c[1]) if z else c for c, z in zip((p2, d), zeros))
+    return p2, d, q
+
+
+def _evaluate(polys, x: float) -> tuple[float, float, float]:
+    p2, d, q = polys
+    return p2[0] + p2[1] * x, d[0] + d[1] * x, q[0] + x * (q[1] + x * q[2])
+
+
+def edge_coefficients(cfg: FieldConfiguration, sym: SymmetryLimit, m: int, origin: float, offset: float):
+    """(p2, d, q), d = delta + 1/4, at E = origin + offset (``_local_polynomials``)."""
+    return _evaluate(_local_polynomials(cfg, sym, m, origin), offset)
 
 
 def _is_admissible(cfg: FieldConfiguration, sym: SymmetryLimit, m: int, E: float) -> bool:
@@ -251,17 +258,16 @@ def _candidates(roots, p2, d, q, n: int, lo: float, hi: float) -> list[float]:
     return sorted(out)
 
 
-def _polish(f, c: float, fc: float, left: float, right: float) -> float | None:
+def _polish(f, c: float, fc: float, left: float, right: float, w: float) -> float | None:
     """Zero of f nearest the candidate c within [left, right], or None when
     f does not change sign there.
 
-    Searches both sides of c, widening by _STEP_GROWTH from _FIRST_STEP,
-    for a sign change of f, and refines the bracket found by Brent's method
-    to a few ulps.  Never evaluates f outside [left, right].
+    Searches both sides of c, widening by _STEP_GROWTH from the half-width
+    w, for a sign change of f, and refines the bracket found by Brent's
+    method to a few ulps.  Never evaluates f outside [left, right].
     """
     if fc == 0.0:
         return c
-    w = _FIRST_STEP * (1.0 + abs(c))
     # per open side: its limit, the outermost point searched and f there
     # (same sign as fc)
     sides = [[limit, c, fc] for limit in (right, left) if limit != c]
@@ -332,15 +338,11 @@ def find_states(
     sym: SymmetryLimit,
     idx: StateIndex,
     window: SearchWindow,
-    diagnostics: ScanDiagnostics | None = None,
 ) -> list[BoundState]:
-    """All roots of F in the window, ascending in E.
-
-    Roots landing within 10 tol of an admissibility edge or of the mass
-    shell are discarded as numerically untrustworthy; the optional
-    diagnostics recorder counts them.  An empty list is a valid result.
+    """All roots of F in the window, ascending in E, down to a few ulps
+    from an admissibility edge; only the mass shell itself is excluded, where
+    F is undefined.  An empty list is a valid result.
     """
-    diag = diagnostics if diagnostics is not None else ScanDiagnostics()
     p2, d, q = model.coefficient_polynomials(cfg, sym, idx.m)
     segments = _admissible_segments(cfg, sym, idx.m, window, p2, d)
     if not segments:
@@ -358,7 +360,7 @@ def find_states(
             left = lo if i == 0 else 0.5 * (cands[i - 1] + c)
             right = hi if i + 1 == len(cands) else 0.5 * (c + cands[i + 1])
             fc = f(c)
-            root = _polish(f, c, fc, left, right)
+            root = _polish(f, c, fc, left, right, _FIRST_STEP * (1.0 + abs(c)))
             if root is None:
                 # a tangent root: F touches zero at c without changing sign;
                 # the size of F's terms is |q| + |F - q|
@@ -370,13 +372,7 @@ def find_states(
                 continue
             roots.append(root)
     boundaries = _boundaries(cfg, sym, p2, d)
-    states = []
-    for root in roots:
-        if _near_boundary(root, window.tol, boundaries):
-            diag.boundary_discards += 1
-            continue
-        states.append(_package(cfg, sym, idx, root))
-    return states
+    return [_package(cfg, sym, idx, root, boundaries) for root in roots]
 
 
 def log_norm_squared(n: int, alpha: float, p_tilde: float) -> float:
@@ -390,19 +386,32 @@ def log_norm_squared(n: int, alpha: float, p_tilde: float) -> float:
     )
 
 
-def _package(cfg: FieldConfiguration, sym: SymmetryLimit, idx: StateIndex, E: float) -> BoundState:
-    coeffs = model.reduced_coefficients(cfg, sym, idx.m, E)
-    p_tilde = math.sqrt(coeffs.p2)
-    alpha = math.sqrt(coeffs.delta + 0.25)
-    return BoundState(
-        symmetry=sym,
-        index=idx,
-        E=E,
-        p_tilde=p_tilde,
-        alpha=alpha,
-        residual=abs(energy_condition(cfg, sym, idx, E)),
-        norm_const=math.exp(0.5 * log_norm_squared(idx.n, alpha, p_tilde)),
-    )
+def _package(
+    cfg: FieldConfiguration, sym: SymmetryLimit, idx: StateIndex, E: float, boundaries: list[float]
+) -> BoundState:
+    """The state at the root E of F, its offset from the nearest of the
+    ``boundaries`` solved on F in x = E - origin: from E - origin, two ulps
+    of E out, on the side where the radicand vanishing there is positive
+    (E's side of a mass shell).  A tangent root keeps E - origin."""
+    origin = min(boundaries, key=lambda x: abs(E - x))
+    polys = _local_polynomials(cfg, sym, idx.m, origin)
+    x0 = E - origin
+    side = math.copysign(1.0, next((r[1] for r in polys[:2] if r[0] == 0.0 and r[1] != 0.0), x0))
+    c = x0 if side * x0 > 0.0 else 0.0
+    w = 2.0 * math.ulp(abs(E) + cfg.M)
+
+    def f(x: float) -> float:
+        return _condition(*_evaluate(polys, x), idx.n)
+
+    # from the origin to half way past E: every other edge is further away
+    left, right = sorted((0.0, c + side * (0.5 * abs(c) + 4.0 * w)))
+    offset = _polish(f, c, f(c), left, right, w)
+    offset = c if offset is None else offset
+    p2, d, q = _evaluate(polys, offset)
+    p_tilde, alpha = math.sqrt(p2), math.sqrt(d)
+    return BoundState(symmetry=sym, index=idx, E=E, origin=origin, offset=offset, p_tilde=p_tilde,
+                      alpha=alpha, residual=abs(_condition(p2, d, q, idx.n)),
+                      norm_const=math.exp(0.5 * log_norm_squared(idx.n, alpha, p_tilde)))
 
 
 @dataclass(frozen=True)
@@ -463,10 +472,7 @@ def sweep(
         cfg = replace(cfg_template, **{vary.parameter: value})
         row: list[float | None] = []
         for j, idx in enumerate(states):
-            if last[j] is None:
-                w = window
-            else:
-                w = SearchWindow(last[j] - 0.5 * width, last[j] + 0.5 * width, tol=window.tol)
+            w = window if last[j] is None else SearchWindow(last[j] - 0.5 * width, last[j] + 0.5 * width)
             roots = find_states(cfg, sym, idx, w)
             if not roots:
                 row.append(None)

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import model, special
+from . import special
 from .model import FieldConfiguration
-from .spectrum import BoundState, log_norm_squared
+from .spectrum import BoundState, edge_coefficients, log_norm_squared
 
 
 @dataclass(frozen=True)
@@ -82,8 +82,9 @@ def count_nodes(profile: RadialProfile) -> int:
 def ode_residual(state: BoundState, cfg: FieldConfiguration) -> float:
     """Defect of g in the radial equation, max |g'' - V g| / max |g''|.
 
-    V(r) = p2 r^2 + delta / r^2 + q with the coefficients evaluated at the
-    state's energy; g'' comes from 5-point central differences (O(h^4)).
+    V(r) = p2 r^2 + delta / r^2 + q with the coefficients recomputed from cfg
+    at the state's origin and offset, not read from the state; g'' comes
+    from 5-point central differences (O(h^4)).
     The step 1e-3 / sqrt(p~) scales with the width of the state, so every
     state gets 8000 samples over ``default_r_max``: at a fixed step
     the round-off of the stencil, about eps / (h^2 p~), would swamp the
@@ -94,13 +95,13 @@ def ode_residual(state: BoundState, cfg: FieldConfiguration) -> float:
     """
     r_max = default_r_max(state)
     h = 1e-3 / math.sqrt(state.p_tilde)
-    coeffs = model.reduced_coefficients(cfg, state.symmetry, state.m, state.E)
+    p2, d, q = edge_coefficients(cfg, state.symmetry, state.m, state.origin, state.offset)
     samples = int(round(r_max / h))
     r = np.arange(1, samples + 1) * h
     g = radial_value(state, r)
     d2 = (-g[:-4] + 16.0 * g[1:-3] - 30.0 * g[2:-2] + 16.0 * g[3:-1] - g[4:]) / (12.0 * h * h)
     ri = r[2:-2]
-    v = coeffs.p2 * ri * ri + coeffs.delta / (ri * ri) + coeffs.q
+    v = p2 * ri * ri + (d - 0.25) / (ri * ri) + q
     res = d2 - v * g[2:-2]
     keep = ri >= max(0.05 * peak_radius(state), 40.0 * h)
     return float(np.max(np.abs(res[keep])) / np.max(np.abs(d2[keep])))

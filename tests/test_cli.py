@@ -47,8 +47,7 @@ def test_solve_no_state_exit_1(capsys):
     code, out, _ = run(
         capsys,
         ["solve", "--symmetry", "pseudospin", "--M", "1", "--a", "1", "--b", "0",
-         "--B", "0", "--flux", "0", "--n", "0", "--m", "0", "--emin", "-5", "--emax", "0.9",
-         "--tol", "1e-10"],
+         "--B", "0", "--flux", "0", "--n", "0", "--m", "0", "--emin", "-5", "--emax", "0.9"],
     )
     assert code == 1
     assert len(out.strip().splitlines()) == 1  # header only

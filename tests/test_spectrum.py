@@ -11,12 +11,9 @@ from diracosc import model, nu
 from diracosc.model import Admissibility, FieldConfiguration, StateIndex, SymmetryLimit
 from diracosc.spectrum import (
     InadmissibleEnergy,
-    ScanDiagnostics,
     SearchWindow,
     SweepSpec,
-    _boundaries,
     _condition_polynomial,
-    _near_boundary,
     default_window,
     energy_condition,
     find_states,
@@ -132,9 +129,8 @@ def reference_roots(cfg, sym, n, m, window, dps=50):
     Written out from the paper's coefficients, independently of
     ``diracosc``: P(E) = (q^2 - 4 p2 (K^2 + d))^2 - 64 K^2 p2^2 d has every
     zero of F(E) = 2 sqrt(p2) (K + sqrt(d)) + q among its roots, found here
-    by ``mpmath.polyroots``.  A root is kept when it is real, admissible,
-    a zero of F, and (the solver's documented discard rule) further than
-    10 tol from the admissibility edges and the mass shell.
+    by ``mpmath.polyroots``.  A root is kept when it is real, admissible
+    and a zero of F, however close to an admissibility edge.
     """
     with mpmath.workdps(dps):
         mp = mpmath.mpf
@@ -150,7 +146,6 @@ def reference_roots(cfg, sym, n, m, window, dps=50):
         P = _poly_sub(_poly_mul(inner, inner), [64 * K * K * x for x in _poly_mul(_poly_mul(p2, p2), d)])
         zs = mpmath.polyroots(P[::-1], maxsteps=500, extraprec=4 * dps)
         tiny = mp(10) ** (-(dps // 3))
-        band = 10 * mp(window.tol)
         found = []
         for z in zs:
             E = mpmath.re(z)
@@ -162,9 +157,6 @@ def reference_roots(cfg, sym, n, m, window, dps=50):
             term = 2 * mpmath.sqrt(p2E) * (K + mpmath.sqrt(dE))
             if abs(term + qE) > tiny * (term + abs(qE)):
                 continue  # a root of P only, from squaring
-            edges = [abs(E + shift), p2E / (2 * a) if a else mpmath.inf, dE / (2 * abs(b)) if b else mpmath.inf]
-            if min(edges) <= band:
-                continue
             if not any(abs(E - x) <= tiny * (1 + abs(E)) for x in found):
                 found.append(E)
         return sorted(float(E) for E in found)
@@ -231,43 +223,92 @@ def test_condition_polynomial_matches_coefficients():
         assert abs(np.polyval(coeffs[::-1], x) - expected) <= 1e-13 * size
 
 
-def test_near_boundary_predicate():
-    def boundaries(cfg, sym, m):
-        p2, d, _ = model.coefficient_polynomials(cfg, sym, m)
-        return _boundaries(cfg, sym, p2, d)
+def mp_root(cfg, sym, n, m, origin, x0, *, edge_at_origin, dps=60):
+    """Root of F(origin + x) in x between x0 / 2 and 2 x0, at dps digits.
 
-    # p2 = 2(E-1) + 1 crosses zero at E = 0.5 (b = 0 keeps delta constant)
-    cfg = FieldConfiguration(M=1, a=1, b=0, B=2, phi_AB=0)
-    assert _near_boundary(0.5 + 5e-12, 1e-12, boundaries(cfg, PS, 0))
-    assert not _near_boundary(0.5 + 1e-6, 1e-12, boundaries(cfg, PS, 0))
-    # delta + 1/4 = 4 + 2(E-1) crosses zero at E = -1; a = 0 keeps p2 constant
-    cfg_b = FieldConfiguration(M=1, a=0, b=1, B=2, phi_AB=0)
-    assert _near_boundary(-1.0 + 5e-12, 1e-12, boundaries(cfg_b, PS, 2))
-    assert not _near_boundary(-1.0 + 1e-6, 1e-12, boundaries(cfg_b, PS, 2))
-    # the bare-oscillator root: delta = -1/4 identically (b = 0) is critical
-    # but not a crossing, and p2 is far from zero there
-    assert not _near_boundary(2.5097553, 1e-12, boundaries(BARE, SP, 0))
+    Written out from the paper's coefficients, independently of
+    ``diracosc``.  With edge_at_origin, p2 = 2 a x puts the p2 = 0 edge
+    exactly at the float origin, as the solver does; the true edge is a
+    rounding of the origin away, so this changes p2 by one rounding of its
+    constant term.  Without it, the coefficients are exact for the float
+    parameters.
+    """
+    with mpmath.workdps(dps):
+        mp = mpmath.mpf
+        M, a, b, B, phi, e, c = (mp(v) for v in (cfg.M, cfg.a, cfg.b, cfg.B, cfg.phi_AB, cfg.e, cfg.c))
+        shift = M if sym is SP else -M  # mass factor mu = E + shift
+        m_eff = m - e * phi / (2 * mpmath.pi * c)
+        gamma = e**2 * B * phi / (2 * mpmath.pi * c**2) - e * m * B / (2 * c)
+
+        def F(x):
+            E = mp(origin) + x
+            p2 = 2 * a * x if edge_at_origin else 2 * a * (E + shift) + (e * B) ** 2 / (4 * c**2)
+            d = m_eff**2 + 2 * b * (E + shift)
+            return 2 * mpmath.sqrt(p2) * (2 * n + 1 + mpmath.sqrt(d)) + gamma + M**2 - E**2
+
+        # a bracket keeps the iterates off the inadmissible side of the edge
+        return mpmath.findroot(F, (mp(x0) / 2, 2 * mp(x0)), solver="illinois")
 
 
-def test_boundary_discard_counter():
-    # root manufactured ~5e-12 above the p2 = 0 boundary at E_b = 1 - B^2/8:
-    # with a = 1, B = 1, m = 0 and flux tuned so q(E_b) = -7.8e-6, the zero of
-    # F sits within the 10*tol discard band and must be dropped
+def test_root_next_to_the_p2_edge_is_reported():
+    # root manufactured ~5e-12 above the p2 = 0 edge at E_b = 1 - B^2/8:
+    # with a = 1, B = 1, m = 0 and flux tuned so q(E_b) = -7.8e-6
     E_b = 1.0 - 1.0 / 8.0
     flux = 2.0 * math.pi * (E_b**2 - 1.0 - 7.8e-6)
     cfg = FieldConfiguration(M=1, a=1, b=0, B=1.0, phi_AB=flux)
-    diag = ScanDiagnostics()
-    states = find_states(cfg, PS, StateIndex(0, 0),
-                         SearchWindow(E_b - 1e-9, E_b + 1e-9), diag)
-    assert states == []
-    assert diag.boundary_discards >= 1
+    states = find_states(cfg, PS, StateIndex(0, 0), SearchWindow(E_b - 1e-9, E_b + 1e-9))
+    assert len(states) == 1
+    (state,) = states
+    assert state.origin == E_b
+    ref = mp_root(cfg, PS, 0, 0, state.origin, state.offset, edge_at_origin=True)
+    assert 4e-12 < ref < 6e-12
+    # q(E_b) = -7.8e-6 is the difference of terms of size 0.23, so one
+    # rounding of them (and of pi in the cross term) moves the offset by
+    # ~1e-11 relative; the data fix it no better
+    assert abs(state.offset - ref) <= 1e-10 * ref
+
+
+# random_spectra seed 2: spin, critical coupling (b = 0, m = 0), q < 0 at the
+# p2 = 0 edge, so every n has a root just above it
+EDGE_CFG = FieldConfiguration(M=1.7304190877928598, a=0.28343286697585257, b=0,
+                              B=-0.0032663294292079037, phi_AB=0)
+
+
+def edge_state(n):
+    """The one state of EDGE_CFG whose origin is the p2 = 0 edge."""
+    states = find_states(EDGE_CFG, SP, StateIndex(n, 0), default_window(EDGE_CFG))
+    p2, _, _ = model.coefficient_polynomials(EDGE_CFG, SP, 0)
+    near = [s for s in states if s.origin == -p2[0] / p2[1]]
+    assert len(near) == 1, states
+    return near[0]
+
+
+def test_seed_2_edge_state_is_found_and_accurate():
+    # 4.7e-12 above the edge, where E alone resolves p2 only to ~5e-5
+    from diracosc.wavefunc import ode_residual
+
+    state = edge_state(2)
+    assert ode_residual(state, EDGE_CFG) <= 1e-6
+    rc = model.reduced_coefficients(EDGE_CFG, SP, 0, state.E)
+    problem = nu.oscillator_problem(rc.p2, rc.q, rc.delta)
+    solution = nu.select_solution(nu.pi_candidates(problem))
+    assert abs(nu.eigen_condition(solution, problem, 2)) <= 1e-9 * (1.0 + abs(solution.lam))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 10, 50])
+def test_edge_offsets_match_a_60_digit_root(n):
+    # distance from the edge ~ q^2 / (4 p2' (2n + 1)^2): 1.2e-10 at n = 0
+    # down to 1.2e-14 at n = 50, below 52 ulps of E
+    state = edge_state(n)
+    ref = mp_root(EDGE_CFG, SP, n, 0, state.origin, state.offset, edge_at_origin=True)
+    assert abs(state.offset - ref) <= 1e-15 * ref, (state.offset, ref)
+    x = mp_root(EDGE_CFG, SP, n, 0, state.origin, state.offset, edge_at_origin=False)
+    assert abs(state.E - (state.origin + x)) <= math.ulp(state.E)
 
 
 def test_window_validation():
     with pytest.raises(ValueError):
         SearchWindow(2.0, 1.0)
-    with pytest.raises(ValueError):
-        SearchWindow(0.0, 1.0, tol=0.0)
     with pytest.raises(ValueError):
         SweepSpec("a", 0.0, 1.0, 5)
     with pytest.raises(ValueError):

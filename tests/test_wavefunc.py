@@ -34,6 +34,8 @@ def synthetic_state(p_tilde: float, alpha: float, n: int = 0) -> BoundState:
         symmetry=SP,
         index=StateIndex(n, 0),
         E=2.0,
+        origin=-1.0,
+        offset=3.0,
         p_tilde=p_tilde,
         alpha=alpha,
         residual=0.0,
@@ -125,6 +127,8 @@ def test_ode_residual_detects_wrong_energy():
         symmetry=PS,
         index=state.index,
         E=E_bad,
+        origin=state.origin,
+        offset=E_bad - state.origin,
         p_tilde=math.sqrt(rc.p2),
         alpha=math.sqrt(rc.delta + 0.25),
         residual=0.0,
