@@ -10,7 +10,11 @@ self-consistency requirement
 
 with gamma the energy-independent field cross term, so resolving that in E
 by Brent's method recovers the nonlinear eigenvalue without touching the
-polynomial machinery of the analytic route.
+polynomial machinery of the analytic route.  ``compare`` first tries a
+bracket 1e-8 wide (Brent's stop) around each analytic root, where one sign
+change confirms it in two eigensolve pairs, and a wide bracket only when
+that has none.  The final Sturm index check runs on the matrices already
+built at the returned point.
 
 Discretization: 3-point Laplacian with the potential evaluated at the grid
 nodes (the grid excludes r = 0, so no origin regularization is needed);
@@ -21,6 +25,7 @@ eigenvalue-by-index via tridiagonal bisection; Richardson extrapolation
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +33,10 @@ import numpy as np
 from . import model
 from .model import Admissibility, FieldConfiguration, StateIndex, SymmetryLimit
 from .spectrum import SearchWindow, _brent, find_states
+
+
+# Brent's stop in E: a sign change of G lies within this of the result
+_TOL = 1e-8
 
 
 class GridTooCoarse(RuntimeError):
@@ -95,13 +104,15 @@ def _single_grid_eigenvalue(P: float, D: float, r_max: float, points: int, n: in
 
 
 def fd_eigenvalue(
-    P: float, D: float, grid: RadialGrid, n: int, verify_index: bool = False
-) -> float:
+    P: float, D: float, grid: RadialGrid, n: int, with_index_check: bool = False
+) -> float | tuple[float, Callable[[], None]]:
     """(n+1)-th smallest eigenvalue of the discretized operator,
     Richardson-extrapolated from the grids h and h/2.
 
-    With verify_index=True the eigenvalue index is re-checked against Sturm
-    counts on both grids (slower; meant for final answers, not inner loops).
+    With with_index_check=True the result is (eigenvalue, check): check()
+    re-checks the eigenvalue index against Sturm counts on both grids, on the
+    matrices of this solve, and raises GridTooCoarse if they disagree (meant
+    for final answers, not inner loops).
     """
     if not P > 0.0:
         raise ValueError(f"P must be > 0, got {P}")
@@ -116,7 +127,8 @@ def fd_eigenvalue(
         raise GridTooCoarse(
             f"h and h/2 eigenvalues disagree: {mu_h} vs {mu_f} (n = {n})"
         )
-    if verify_index:
+
+    def check_index() -> None:
         eps = 1e-8 * (1.0 + abs(mu_f))
         below = sturm_count(diag_f, off_f * off_f, mu_f - eps)
         above = sturm_count(diag_f, off_f * off_f, mu_f + eps)
@@ -129,7 +141,9 @@ def fd_eigenvalue(
             raise GridTooCoarse(
                 f"coarse-grid Sturm count {coarse} inconsistent with index {n}"
             )
-    return (4.0 * mu_f - mu_h) / 3.0
+
+    mu = (4.0 * mu_f - mu_h) / 3.0
+    return (mu, check_index) if with_index_check else mu
 
 
 def self_consistent_energy(
@@ -144,31 +158,45 @@ def self_consistent_energy(
 
     The window must bracket exactly one root (callers center it on an
     analytic root of ``find_states``); both endpoints must be admissible
-    energies.
+    energies.  A window no wider than 1e-8 costs two G evaluations: Brent
+    stops at once on a sign change.
+
+    The eigenvalue index is verified by Sturm counts at the point Brent
+    returns, on the matrices G built there, so the check solves nothing.
+    Unless G is exactly zero there, the result is the secant point of the
+    final sign-change bracket (at most 1e-8 wide), from the G values at its
+    ends: a measurement, not an end of the bracket.
     """
     gamma = model.field_cross_term(cfg, idx.m)
+    # every G evaluation of this call: E -> (G(E), index check at E)
+    seen: dict[float, tuple[float, Callable[[], None]]] = {}
 
     def G(E: float) -> float:
         coeffs = model.reduced_coefficients(cfg, sym, idx.m, E)
         if model.admissible(coeffs) is not Admissibility.ADMISSIBLE:
             raise ValueError(f"window reaches inadmissible energy E = {E}")
-        mu = fd_eigenvalue(coeffs.p2, coeffs.delta, grid, idx.n)
-        return mu - (E * E - cfg.M**2 - gamma)
+        mu, check = fd_eigenvalue(
+            coeffs.p2, coeffs.delta, grid, idx.n, with_index_check=True
+        )
+        g = mu - (E * E - cfg.M**2 - gamma)
+        seen[E] = g, check
+        return g
 
     lo, hi = window
     glo = G(lo)
     ghi = G(hi)
-    if glo == 0.0:
-        return lo
-    if ghi == 0.0:
-        return hi
     if glo * ghi > 0.0:
         raise NoSignChange(f"G has no sign change on [{lo}, {hi}]")
-    root = _brent(G, lo, hi, glo, ghi, 1e-8)
-    # final index verification at the converged energy
-    coeffs = model.reduced_coefficients(cfg, sym, idx.m, root)
-    fd_eigenvalue(coeffs.p2, coeffs.delta, grid, idx.n, verify_index=True)
-    return root
+    b = _brent(G, lo, hi, glo, ghi, _TOL)
+    gb, check = seen[b]
+    check()
+    if gb == 0.0:
+        return b
+    # the nearest evaluation with the other sign closes the final bracket
+    c = min((E for E, (g, _) in seen.items() if (g > 0.0) != (gb > 0.0)),
+            key=lambda E: abs(E - b))
+    gc = seen[c][0]
+    return b - gb * (c - b) / (gc - gb)
 
 
 @dataclass(frozen=True)
@@ -215,12 +243,20 @@ def compare(
         # shell, keeps both ends admissible, and G off the edge, where the
         # grid is least accurate
         half = min(half, 0.5 * abs(state.E - state.origin))
-        bracket = (state.E - half, state.E + half)
         g = grid if grid is not None else default_grid(state.p_tilde**2)
-        try:
-            oracle_E = self_consistent_energy(cfg, sym, idx, g, bracket)
-        except NoSignChange:
-            reports.append(OracleComparison(state.E, None, None))
-            continue
-        reports.append(OracleComparison(state.E, oracle_E, abs(state.E - oracle_E)))
+        # a tol-wide bracket first: where the analytic root is the oracle's
+        # to within Brent's stop, its sign change confirms it in two solves;
+        # the wide bracket only when that fails, and only once (not at all
+        # when half is no wider)
+        oracle_E = None
+        for width in dict.fromkeys((min(_TOL / 2, half), half)):
+            try:
+                oracle_E = self_consistent_energy(
+                    cfg, sym, idx, g, (state.E - width, state.E + width)
+                )
+                break
+            except NoSignChange:
+                pass
+        diff = None if oracle_E is None else abs(state.E - oracle_E)
+        reports.append(OracleComparison(state.E, oracle_E, diff))
     return reports

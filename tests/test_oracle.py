@@ -38,7 +38,8 @@ def test_fd_eigenvalue_reduced_oscillator():
 
 def test_fd_eigenvalue_verify_index_path():
     grid = RadialGrid(12.0, 1500)
-    mu = fd_eigenvalue(2.0, 0.75, grid, 2, verify_index=True)
+    mu, check = fd_eigenvalue(2.0, 0.75, grid, 2, with_index_check=True)
+    check()
     assert abs(mu - exact_mu(2.0, 0.75, 2)) < 1e-5
 
 
@@ -143,8 +144,8 @@ def test_brent_never_leaves_bracket(f, lo, hi):
     assert f(root - tol) * f(root + tol) <= 0.0
 
 
-def test_self_consistent_eigensolve_count(monkeypatch):
-    # Brent on the smooth G: 2 endpoints, a few interior steps, 1 verify
+def _count_eigensolves(monkeypatch) -> list[tuple]:
+    """Arguments of every oracle.fd_eigenvalue call from now on."""
     calls = []
     solve = oracle.fd_eigenvalue
 
@@ -153,10 +154,70 @@ def test_self_consistent_eigensolve_count(monkeypatch):
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(oracle, "fd_eigenvalue", counting)
+    return calls
+
+
+def test_self_consistent_eigensolve_count(monkeypatch):
+    # Brent on the smooth G: 2 endpoints and a few interior steps; the index
+    # check runs on the matrices of the returned point and solves nothing
+    calls = _count_eigensolves(monkeypatch)
     state = find_states(BARE, SP, StateIndex(0, 1), SearchWindow(1.0001, 10.0))[0]
     grid = default_grid(state.p_tilde**2)
     self_consistent_energy(BARE, SP, StateIndex(0, 1), grid, (state.E - 0.2, state.E + 0.2))
     assert len(calls) <= 10
+
+
+def test_tol_wide_bracket_costs_two_eigensolves(monkeypatch):
+    # the regression entry of test_compare_regression_entry
+    cfg = FieldConfiguration(M=1, a=1, b=1, B=0.5, phi_AB=0.6)
+    idx = StateIndex(0, 0)
+    calls = _count_eigensolves(monkeypatch)
+    state = find_states(cfg, SP, idx, SearchWindow(1.1, 21.0))[0]
+    grid = default_grid(state.p_tilde**2)
+    bracket = (state.E - 5e-9, state.E + 5e-9)
+    E_fd = self_consistent_energy(cfg, SP, idx, grid, bracket)
+    assert len(calls) == 2
+    # a measurement inside the bracket, not one of its ends
+    assert bracket[0] < E_fd < bracket[1]
+
+    # the index check still runs, on the matrices G built
+    monkeypatch.setattr(oracle, "sturm_count", lambda diag, off2, x: -1)
+    with pytest.raises(GridTooCoarse):
+        self_consistent_energy(cfg, SP, idx, grid, bracket)
+
+
+def test_compare_regression_matrix_eigensolve_count(monkeypatch, regression_matrix):
+    # the analytic root lies within Brent's 1e-8 stop of the oracle's, so
+    # the tol-wide bracket confirms every root with one G evaluation per end
+    calls = _count_eigensolves(monkeypatch)
+    requests = {(sym, idx): cfg for cfg, sym, idx, _ in regression_matrix}
+    roots = 0
+    for (sym, idx), cfg in requests.items():
+        for rep in compare(cfg, sym, idx, None, default_window(cfg)):
+            assert rep.abs_diff is not None and rep.abs_diff <= 1e-8
+            roots += 1
+    assert roots == len(regression_matrix) == 52
+    assert len(calls) == 2 * roots
+
+
+def test_compare_falls_back_to_the_wide_bracket(monkeypatch):
+    # b = 0, m = 0 sits at critical coupling, where the oracle's root is
+    # 1.75e-2 away: the tol-wide bracket has no sign change, the wide one does
+    calls = _count_eigensolves(monkeypatch)
+    cfg = FieldConfiguration(M=1, a=1, b=0, B=0.5, phi_AB=1)
+    [rep] = compare(cfg, PS, StateIndex(0, 0), None, default_window(cfg))
+    assert rep.oracle_E is not None
+    assert abs(rep.abs_diff - 1.75e-2) < 1e-4
+    assert len(calls) <= 10
+
+
+def test_compare_fallback_without_a_root(monkeypatch):
+    # the critical spin ground state: neither bracket changes sign
+    calls = _count_eigensolves(monkeypatch)
+    [rep] = compare(BARE, SP, StateIndex(0, 0), None, default_window(BARE))
+    assert rep.analytic_E is not None
+    assert rep.oracle_E is None and rep.abs_diff is None
+    assert len(calls) <= 4
 
 
 def test_grid_too_coarse():
