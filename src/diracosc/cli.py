@@ -34,11 +34,16 @@ def fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _merged(args: argparse.Namespace, key: str, default=None, required: bool = False):
-    """Precedence: command-line flag > config file > default."""
+def _merged(args: argparse.Namespace, key: str, kind, default=None, required: bool = False):
+    """Precedence: command-line flag > config file > default.  A config value
+    passes the flag's own conversion kind, as if typed after --key."""
     value = getattr(args, key, None)
     if value is None and getattr(args, "_config", None) is not None:
         value = args._config.get(key)
+        try:
+            value = None if value is None else kind(str(value))
+        except ValueError:
+            raise CliError(f"invalid --{key}: {kind.__name__} expected, got {value!r}") from None
     if value is None:
         value = default
     if value is None and required:
@@ -66,7 +71,7 @@ def _field_configuration(args: argparse.Namespace) -> FieldConfiguration:
     for key in _FIELD_KEYS:
         required = key in ("M", "a", "b", "B", "flux")
         default = 1.0 if key in ("e", "c") else None
-        values[key] = float(_merged(args, key, default=default, required=required))
+        values[key] = _merged(args, key, float, default=default, required=required)
     try:
         return FieldConfiguration(
             M=values["M"],
@@ -87,7 +92,7 @@ def _field_configuration(args: argparse.Namespace) -> FieldConfiguration:
 
 
 def _symmetry(args: argparse.Namespace) -> SymmetryLimit:
-    raw = _merged(args, "symmetry", required=True)
+    raw = _merged(args, "symmetry", str, required=True)
     try:
         return SymmetryLimit(raw)
     except ValueError:
@@ -98,22 +103,17 @@ def _symmetry(args: argparse.Namespace) -> SymmetryLimit:
 
 def _window(args: argparse.Namespace, cfg: FieldConfiguration) -> SearchWindow:
     default = spectrum.default_window(cfg)
-    e_min = _merged(args, "emin", default=default.e_min)
-    e_max = _merged(args, "emax", default=default.e_max)
+    e_min = _merged(args, "emin", float, default=default.e_min)
+    e_max = _merged(args, "emax", float, default=default.e_max)
     try:
-        return SearchWindow(float(e_min), float(e_max))
+        return SearchWindow(e_min, e_max)
     except ValueError as exc:
         raise CliError(f"invalid window flags: {exc}") from None
 
 
 def _state_index(args: argparse.Namespace) -> StateIndex:
-    n = _merged(args, "n", required=True)
-    m = _merged(args, "m", required=True)
-    try:
-        n = int(n)
-        m = int(m)
-    except (TypeError, ValueError):
-        raise CliError(f"invalid --n/--m: integers required, got {n!r}, {m!r}") from None
+    n = _merged(args, "n", int, required=True)
+    m = _merged(args, "m", int, required=True)
     try:
         return StateIndex(n, m)
     except ValueError as exc:
@@ -228,20 +228,21 @@ _PALETTE = (
 )
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:
     span = hi - lo
     if span <= 0.0:
         return [lo]
-    raw = span / target
+    raw = span / 5
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if raw <= mult * mag:
             step = mult * mag
             break
-    first = math.ceil(lo / step) * step
     ticks = []
-    t = first
-    while t <= hi + 1e-9 * span:
+    t = math.ceil(lo / step) * step
+    # step >= span / 5 fits six ticks; the count also ends the loop on a span
+    # so narrow that rounding absorbs t += step
+    while t <= hi + 1e-9 * span and len(ticks) < 6:
         ticks.append(0.0 if abs(t) < 1e-12 * span else t)
         t += step
     return ticks
@@ -252,10 +253,9 @@ def svg_linechart(
     values: list[float],
     columns: list[list[float | None]],
     labels: list[str],
-    width: int = 640,
-    height: int = 420,
 ) -> str:
     """One polyline per column; empty cells break the line."""
+    width, height = 640, 420
     ml, mr, mt, mb = 60, 150, 20, 50
     pw, ph = width - ml - mr, height - mt - mb
     x_lo, x_hi = min(values), max(values)
@@ -377,7 +377,7 @@ def cmd_wavefunction(args: argparse.Namespace) -> int:
 def cmd_nu_trace(args: argparse.Namespace) -> int:
     cfg = _field_configuration(args)
     sym = _symmetry(args)
-    m = int(_merged(args, "m", required=True))
+    m = _merged(args, "m", int, required=True)
     E = args.E
     try:
         coeffs = model.reduced_coefficients(cfg, sym, m, E)

@@ -19,7 +19,9 @@ built at the returned point.
 Discretization: 3-point Laplacian with the potential evaluated at the grid
 nodes (the grid excludes r = 0, so no origin regularization is needed);
 eigenvalue-by-index via tridiagonal bisection; Richardson extrapolation
-(4 mu_{h/2} - mu_h) / 3 over the nested grids h and h/2.
+(4 mu_{h/2} - mu_h) / 3 over the nested grids h and h/2.  On a grid in
+units of P^(-1/4) the discrete operator at P is exactly sqrt(P) times the
+one at P = 1, so one grid, ``GRID``, serves every P at the accuracy of P = 1.
 """
 
 from __future__ import annotations
@@ -60,15 +62,10 @@ class RadialGrid:
         if self.points < 100:
             raise ValueError(f"points must be >= 100, got {self.points}")
 
-    @property
-    def h(self) -> float:
-        return self.r_max / (self.points + 1)
 
-
-def default_grid(P: float) -> RadialGrid:
-    """6000 points up to max(8/sqrt(P), 12): exponentially small tail error
-    for the Gaussian-decaying states, generous for weak confinement."""
-    return RadialGrid(r_max=max(8.0 / math.sqrt(P), 12.0), points=6000)
+# the oracle's grid, in units of P^(-1/4): exponentially small tail error
+# for the Gaussian-decaying states at every P
+GRID = RadialGrid(12.0, 6000)
 
 
 def sturm_count(diag: np.ndarray, off2: float, x: float) -> int:
@@ -106,13 +103,13 @@ def _single_grid_eigenvalue(P: float, D: float, r_max: float, points: int, n: in
 def fd_eigenvalue(
     P: float, D: float, grid: RadialGrid, n: int, with_index_check: bool = False
 ) -> float | tuple[float, Callable[[], None]]:
-    """(n+1)-th smallest eigenvalue of the discretized operator,
-    Richardson-extrapolated from the grids h and h/2.
+    """(n+1)-th smallest eigenvalue of the discretized operator on a grid in
+    units of P^(-1/4), Richardson-extrapolated from the grids h and h/2.
 
     With with_index_check=True the result is (eigenvalue, check): check()
     re-checks the eigenvalue index against Sturm counts on both grids, on the
-    matrices of this solve, and raises GridTooCoarse if they disagree (meant
-    for final answers, not inner loops).
+    P = 1 matrices of this solve, and raises GridTooCoarse if they disagree
+    (meant for final answers, not inner loops).
     """
     if not P > 0.0:
         raise ValueError(f"P must be > 0, got {P}")
@@ -120,9 +117,9 @@ def fd_eigenvalue(
         raise ValueError(f"D must be >= -1/4, got {D}")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    mu_h, diag_h, off_h = _single_grid_eigenvalue(P, D, grid.r_max, grid.points, n)
+    mu_h, diag_h, off_h = _single_grid_eigenvalue(1.0, D, grid.r_max, grid.points, n)
     fine = 2 * grid.points + 1  # nested grid with spacing h/2
-    mu_f, diag_f, off_f = _single_grid_eigenvalue(P, D, grid.r_max, fine, n)
+    mu_f, diag_f, off_f = _single_grid_eigenvalue(1.0, D, grid.r_max, fine, n)
     if abs(mu_h - mu_f) > 0.1 * (1.0 + abs(mu_f)):
         raise GridTooCoarse(
             f"h and h/2 eigenvalues disagree: {mu_h} vs {mu_f} (n = {n})"
@@ -142,7 +139,7 @@ def fd_eigenvalue(
                 f"coarse-grid Sturm count {coarse} inconsistent with index {n}"
             )
 
-    mu = (4.0 * mu_f - mu_h) / 3.0
+    mu = math.sqrt(P) * (4.0 * mu_f - mu_h) / 3.0
     return (mu, check_index) if with_index_check else mu
 
 
@@ -218,15 +215,15 @@ def compare(
 ) -> list[OracleComparison]:
     """Run both solvers over the window; one comparison per analytic root.
 
-    No threshold is enforced here, this is reporting only.  With grid=None a
-    default grid is sized per root from P at that root.
+    No threshold is enforced here, this is reporting only.  grid=None means
+    GRID.  Of each analytic state only E and origin are read.
     """
+    grid = GRID if grid is None else grid
     analytic = find_states(cfg, sym, idx, window)
     if not analytic:
-        g = grid if grid is not None else RadialGrid(12.0, 6000)
         try:
             oracle_E = self_consistent_energy(
-                cfg, sym, idx, g, (window.e_min, window.e_max)
+                cfg, sym, idx, grid, (window.e_min, window.e_max)
             )
         except (NoSignChange, ValueError, GridTooCoarse):
             return [OracleComparison(None, None, None)]
@@ -240,10 +237,8 @@ def compare(
         if i + 1 < len(analytic):
             half = min(half, 0.45 * (analytic[i + 1].E - state.E))
         # half the distance to the state's origin, the nearest edge or mass
-        # shell, keeps both ends admissible, and G off the edge, where the
-        # grid is least accurate
+        # shell, keeps both ends of the bracket admissible
         half = min(half, 0.5 * abs(state.E - state.origin))
-        g = grid if grid is not None else default_grid(state.p_tilde**2)
         # a tol-wide bracket first: where the analytic root is the oracle's
         # to within Brent's stop, its sign change confirms it in two solves;
         # the wide bracket only when that fails, and only once (not at all
@@ -252,7 +247,7 @@ def compare(
         for width in dict.fromkeys((min(_TOL / 2, half), half)):
             try:
                 oracle_E = self_consistent_energy(
-                    cfg, sym, idx, g, (state.E - width, state.E + width)
+                    cfg, sym, idx, grid, (state.E - width, state.E + width)
                 )
                 break
             except NoSignChange:

@@ -1,8 +1,12 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import diracosc
 from diracosc.cli import main, svg_linechart
 from diracosc.model import FieldConfiguration, StateIndex, SymmetryLimit
 from diracosc.spectrum import SweepSpec, default_window, sweep
@@ -88,6 +92,25 @@ def test_config_file_precedence(tmp_path, capsys):
     assert E_flag > E_file + 1.0
 
 
+@pytest.mark.parametrize("command, key, value", [
+    ("solve", "M", "abc"),
+    ("nu-trace", "m", "x"),
+    ("solve", "n", 1.7),
+    ("solve", "e", True),
+])
+def test_config_value_passes_its_flags_conversion(tmp_path, capsys, command, key, value):
+    # as if typed after --key: float("abc"), int("x"), int("1.7") and
+    # float("True") fail, so each is an invalid parameter, not a solve
+    cfg = {"symmetry": "spin", "M": 1.0, "a": 1.0, "b": 0.0, "B": 0.0, "flux": 0.0,
+           "n": 0, "m": 0, key: value}
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    extra = ["--E", "2"] if command == "nu-trace" else []
+    code, out, err = run(capsys, [command, "--config", str(path), *extra])
+    assert code == 2
+    assert err.startswith(f"invalid --{key}:")
+
+
 def test_sweep_csv_shape(tmp_path, capsys):
     out_csv = tmp_path / "sweep.csv"
     code, _, _ = run(capsys, [
@@ -133,6 +156,19 @@ def test_sweep_svg_deterministic_roundtrip(tmp_path, capsys):
     assert svg_linechart("B", table.values, columns, ["n=0, m=0", "n=1, m=0"]) == svg1.read_text()
     assert "<svg" in svg1.read_text() and "polyline" in svg1.read_text()
     assert "n=0, m=0" in svg1.read_text()
+
+
+def test_sweep_plot_over_a_range_below_rounding(tmp_path):
+    # B spans one ulp of 1: the tick step is lost to rounding in t += step,
+    # so only a bounded tick count lets the plot finish
+    argv = ["sweep", "--symmetry", "pseudospin", "--M", "1", "--a", "1", "--b", "1",
+            "--flux", "1", "--vary", "B", "--from", "1", "--to", "1.0000000000000002",
+            "--steps", "2", "--states", "0:0", "--out", "s.csv", "--plot", "s.svg"]
+    src = os.path.dirname(os.path.dirname(diracosc.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-m", "diracosc.cli", *argv], cwd=tmp_path, env=env,
+                   timeout=10, check=True, capture_output=True)
+    assert (tmp_path / "s.svg").read_text().endswith("</svg>\n")
 
 
 def test_svg_breaks_polyline_on_empty_cells():

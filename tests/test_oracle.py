@@ -6,6 +6,7 @@ import pytest
 from diracosc import oracle
 from diracosc.model import FieldConfiguration, StateIndex, SymmetryLimit
 from diracosc.oracle import (
+    GRID,
     GridTooCoarse,
     NoSignChange,
     OracleComparison,
@@ -13,7 +14,6 @@ from diracosc.oracle import (
     _brent,
     _single_grid_eigenvalue,
     compare,
-    default_grid,
     fd_eigenvalue,
     self_consistent_energy,
     sturm_count,
@@ -30,10 +30,9 @@ def exact_mu(P: float, D: float, n: int) -> float:
 
 
 def test_fd_eigenvalue_reduced_oscillator():
-    grid = default_grid(1.0)
-    assert abs(fd_eigenvalue(1.0, 0.0, grid, 0) - 3.0) < 1e-8
-    assert abs(fd_eigenvalue(1.0, 0.0, grid, 1) - 7.0) < 1e-8
-    assert abs(fd_eigenvalue(1.0, 0.75, grid, 0) - 4.0) < 1e-6
+    assert abs(fd_eigenvalue(1.0, 0.0, GRID, 0) - 3.0) < 1e-8
+    assert abs(fd_eigenvalue(1.0, 0.0, GRID, 1) - 7.0) < 1e-8
+    assert abs(fd_eigenvalue(1.0, 0.75, GRID, 0) - 4.0) < 1e-6
 
 
 def test_fd_eigenvalue_verify_index_path():
@@ -162,8 +161,7 @@ def test_self_consistent_eigensolve_count(monkeypatch):
     # check runs on the matrices of the returned point and solves nothing
     calls = _count_eigensolves(monkeypatch)
     state = find_states(BARE, SP, StateIndex(0, 1), SearchWindow(1.0001, 10.0))[0]
-    grid = default_grid(state.p_tilde**2)
-    self_consistent_energy(BARE, SP, StateIndex(0, 1), grid, (state.E - 0.2, state.E + 0.2))
+    self_consistent_energy(BARE, SP, StateIndex(0, 1), GRID, (state.E - 0.2, state.E + 0.2))
     assert len(calls) <= 10
 
 
@@ -173,9 +171,8 @@ def test_tol_wide_bracket_costs_two_eigensolves(monkeypatch):
     idx = StateIndex(0, 0)
     calls = _count_eigensolves(monkeypatch)
     state = find_states(cfg, SP, idx, SearchWindow(1.1, 21.0))[0]
-    grid = default_grid(state.p_tilde**2)
     bracket = (state.E - 5e-9, state.E + 5e-9)
-    E_fd = self_consistent_energy(cfg, SP, idx, grid, bracket)
+    E_fd = self_consistent_energy(cfg, SP, idx, GRID, bracket)
     assert len(calls) == 2
     # a measurement inside the bracket, not one of its ends
     assert bracket[0] < E_fd < bracket[1]
@@ -183,7 +180,7 @@ def test_tol_wide_bracket_costs_two_eigensolves(monkeypatch):
     # the index check still runs, on the matrices G built
     monkeypatch.setattr(oracle, "sturm_count", lambda diag, off2, x: -1)
     with pytest.raises(GridTooCoarse):
-        self_consistent_energy(cfg, SP, idx, grid, bracket)
+        self_consistent_energy(cfg, SP, idx, GRID, bracket)
 
 
 def test_compare_regression_matrix_eigensolve_count(monkeypatch, regression_matrix):
@@ -202,12 +199,12 @@ def test_compare_regression_matrix_eigensolve_count(monkeypatch, regression_matr
 
 def test_compare_falls_back_to_the_wide_bracket(monkeypatch):
     # b = 0, m = 0 sits at critical coupling, where the oracle's root is
-    # 1.75e-2 away: the tol-wide bracket has no sign change, the wide one does
+    # 1.631e-2 away: the tol-wide bracket has no sign change, the wide one does
     calls = _count_eigensolves(monkeypatch)
     cfg = FieldConfiguration(M=1, a=1, b=0, B=0.5, phi_AB=1)
     [rep] = compare(cfg, PS, StateIndex(0, 0), None, default_window(cfg))
     assert rep.oracle_E is not None
-    assert abs(rep.abs_diff - 1.75e-2) < 1e-4
+    assert abs(rep.abs_diff - 1.631e-2) < 1e-4
     assert len(calls) <= 10
 
 
@@ -221,9 +218,29 @@ def test_compare_fallback_without_a_root(monkeypatch):
 
 
 def test_grid_too_coarse():
-    # wavefunction scale 1/P^(1/4) far below h: the two grids disagree wildly
+    # the grid is in units of the wavefunction scale P^(-1/4), so P cannot
+    # coarsen it; h ~ 12 of those units: the two grids disagree wildly
     with pytest.raises(GridTooCoarse):
-        fd_eigenvalue(1e8, 0.0, RadialGrid(12.0, 100), 0)
+        fd_eigenvalue(1.0, 0.0, RadialGrid(1200.0, 100), 0)
+
+
+@pytest.mark.parametrize("P", [1e-12, 1e-6, 1e-2, 1e2, 1e4])
+def test_fd_eigenvalue_accuracy_is_independent_of_P(P):
+    # r -> r P^(-1/4) maps the discrete operator at P exactly onto sqrt(P)
+    # times the one at P = 1, so the grid compare uses is as good at every P
+    for D in (0.0, 0.75, 3.75):
+        for n in (0, 3):
+            exact = exact_mu(P, D, n)
+            assert abs(fd_eigenvalue(P, D, GRID, n) - exact) <= 1e-7 * exact, (D, n)
+
+
+def test_compare_confirms_a_weakly_confined_state_near_an_edge():
+    # pseudospin b = 0, m = 2, n = 1: the flux places a root at E_b = 7/8,
+    # where P = p2 is 8.5e-13
+    E_b, q_b, m = 7 / 8, -7.8e-6, 2
+    cfg = FieldConfiguration(M=1, a=1, b=0, B=1, phi_AB=2 * math.pi * (q_b + m / 2 + E_b**2 - 1))
+    [rep] = compare(cfg, PS, StateIndex(1, m), None, SearchWindow(E_b - 1e-9, E_b + 1e-9))
+    assert rep.abs_diff is not None and rep.abs_diff <= 1e-12
 
 
 def test_truncation_radius_is_converged():
@@ -238,16 +255,14 @@ def test_truncation_radius_is_converged():
 def test_self_consistent_matches_analytic_with_fields():
     cfg = FieldConfiguration(M=1, a=1, b=1, B=2, phi_AB=math.pi)
     state = find_states(cfg, PS, StateIndex(0, 1), SearchWindow(1.1, 21.0))[0]
-    grid = default_grid(state.p_tilde**2)
-    E_fd = self_consistent_energy(cfg, PS, StateIndex(0, 1), grid, (state.E - 0.2, state.E + 0.2))
+    E_fd = self_consistent_energy(cfg, PS, StateIndex(0, 1), GRID, (state.E - 0.2, state.E + 0.2))
     assert abs(E_fd - state.E) <= 1e-6
 
 
 def test_self_consistent_matches_analytic_bare_m1():
     # b = 0, m = 1: D = 3/4, regular at the origin
     state = find_states(BARE, SP, StateIndex(0, 1), SearchWindow(1.0001, 10.0))[0]
-    grid = default_grid(state.p_tilde**2)
-    E_fd = self_consistent_energy(BARE, SP, StateIndex(0, 1), grid, (state.E - 0.2, state.E + 0.2))
+    E_fd = self_consistent_energy(BARE, SP, StateIndex(0, 1), GRID, (state.E - 0.2, state.E + 0.2))
     assert abs(E_fd - state.E) <= 1e-6
 
 
@@ -260,8 +275,7 @@ def test_self_consistent_matches_analytic_bare_m1():
 )
 def test_self_consistent_bare_m0_n0_critical():
     state = find_states(BARE, SP, StateIndex(0, 0), SearchWindow(1.0001, 10.0))[0]
-    grid = default_grid(state.p_tilde**2)
-    E_fd = self_consistent_energy(BARE, SP, StateIndex(0, 0), grid, (state.E - 0.3, state.E + 0.3))
+    E_fd = self_consistent_energy(BARE, SP, StateIndex(0, 0), GRID, (state.E - 0.3, state.E + 0.3))
     assert abs(E_fd - state.E) <= 1e-6
 
 
@@ -271,16 +285,14 @@ def test_self_consistent_bare_m0_n0_critical():
 )
 def test_self_consistent_bare_m0_n1_critical():
     state = find_states(BARE, SP, StateIndex(1, 0), SearchWindow(1.0001, 10.0))[0]
-    grid = default_grid(state.p_tilde**2)
-    E_fd = self_consistent_energy(BARE, SP, StateIndex(1, 0), grid, (state.E - 0.3, state.E + 0.3))
+    E_fd = self_consistent_energy(BARE, SP, StateIndex(1, 0), GRID, (state.E - 0.3, state.E + 0.3))
     assert abs(E_fd - state.E) <= 1e-6
 
 
 def test_self_consistent_critical_coupling_is_systematically_high():
     # documents the measured size of the critical-coupling defect
     state = find_states(BARE, SP, StateIndex(0, 0), SearchWindow(1.0001, 10.0))[0]
-    grid = default_grid(state.p_tilde**2)
-    E_fd = self_consistent_energy(BARE, SP, StateIndex(0, 0), grid, (state.E - 0.3, state.E + 0.3))
+    E_fd = self_consistent_energy(BARE, SP, StateIndex(0, 0), GRID, (state.E - 0.3, state.E + 0.3))
     assert 1e-3 < abs(E_fd - state.E) < 0.5
 
 
