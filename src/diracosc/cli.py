@@ -86,8 +86,9 @@ def _field_configuration(args: argparse.Namespace) -> FieldConfiguration:
         # name the flag, not the dataclass field
         msg = str(exc)
         for key in _FIELD_KEYS:
-            if msg.startswith(f"{key} "):
-                raise CliError(f"invalid --{key}: {msg[len(key) + 1:]}") from None
+            field = "phi_AB" if key == "flux" else key
+            if msg.startswith(f"{field} "):
+                raise CliError(f"invalid --{key}: {msg[len(field) + 1:]}") from None
         raise CliError(msg) from None
 
 
@@ -238,12 +239,15 @@ def _nice_ticks(lo: float, hi: float) -> list[float]:
         if raw <= mult * mag:
             step = mult * mag
             break
-    ticks = []
+    slack = 1e-9 * span
+    ticks: list[float] = []
     t = math.ceil(lo / step) * step
-    # step >= span / 5 fits six ticks; the count also ends the loop on a span
-    # so narrow that rounding absorbs t += step
-    while t <= hi + 1e-9 * span and len(ticks) < 6:
-        ticks.append(0.0 if abs(t) < 1e-12 * span else t)
+    # step >= span / 5 fits six ticks; the fixed count also ends the loop on
+    # a span so narrow that rounding absorbs t += step, or puts t below lo
+    for _ in range(6):
+        tick = 0.0 if abs(t) < 1e-12 * span else t
+        if lo - slack <= tick <= hi + slack and tick not in ticks:
+            ticks.append(tick)
         t += step
     return ticks
 
@@ -349,8 +353,8 @@ def cmd_wavefunction(args: argparse.Namespace) -> int:
     sym = _symmetry(args)
     idx = _state_index(args)
     window = _window(args, cfg)
-    if not args.rmax > 0.0:
-        raise CliError(f"invalid --rmax: must be > 0, got {args.rmax}")
+    if not 0.0 < args.rmax < math.inf:
+        raise CliError(f"invalid --rmax: must be finite and > 0, got {args.rmax}")
     if args.samples < 2:
         raise CliError(f"invalid --samples: must be >= 2, got {args.samples}")
     states = spectrum.find_states(cfg, sym, idx, window)
@@ -379,6 +383,8 @@ def cmd_nu_trace(args: argparse.Namespace) -> int:
     sym = _symmetry(args)
     m = _merged(args, "m", int, required=True)
     E = args.E
+    if not math.isfinite(E):
+        raise CliError(f"invalid --E: must be finite, got {E}")
     try:
         coeffs = model.reduced_coefficients(cfg, sym, m, E)
     except model.ExcludedEnergy as exc:
@@ -473,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_window_flags(p)
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)
-    p.add_argument("--verify", action="store_true", help="append finite-difference oracle columns")
+    p.add_argument("--verify", action="store_true", help="append finite-volume oracle columns")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("sweep", help="sweep B or flux over a grid; CSV file + optional SVG")

@@ -59,6 +59,10 @@ class FieldConfiguration:
     c: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("M", "a", "b", "B", "phi_AB", "e", "c"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.M > 0.0:
             raise ValueError(f"M must be > 0, got {self.M}")
         if self.a < 0.0:

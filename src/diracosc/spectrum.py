@@ -428,6 +428,8 @@ class SweepSpec:
             raise ValueError(f"parameter must be 'B' or 'phi_AB', got {self.parameter!r}")
         if self.steps < 2:
             raise ValueError(f"steps must be >= 2, got {self.steps}")
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise ValueError(f"start and stop must be finite, got {self.start}, {self.stop}")
 
     def values(self) -> list[float]:
         return [

@@ -40,7 +40,7 @@ def test_criterion_1_energy_condition_residual(regression_matrix):
 
 
 def test_criterion_2_oracle_equivalence(regression_matrix):
-    # finite-difference oracle (6000-point grid, Richardson-extrapolated)
+    # finite-volume oracle (1500 cells, Richardson-extrapolated)
     # against every analytic root of criterion 1, within the 30 s budget
     t0 = time.perf_counter()
     worst = 0.0

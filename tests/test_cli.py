@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import diracosc
-from diracosc.cli import main, svg_linechart
+from diracosc.cli import _nice_ticks, main, svg_linechart
 from diracosc.model import FieldConfiguration, StateIndex, SymmetryLimit
 from diracosc.spectrum import SweepSpec, default_window, sweep
 
@@ -61,6 +61,16 @@ def test_solve_invalid_parameter_exit_2(capsys):
     code, _, err = run(capsys, ["solve", *BARE_SPIN[:4], "--a", "-1", *BARE_SPIN[6:], "--n", "0", "--m", "0"])
     assert code == 2
     assert "--a" in err
+
+
+@pytest.mark.parametrize("flag, value", [("--a", "inf"), ("--M", "inf"), ("--flux", "nan"), ("--c", "-inf")])
+def test_solve_non_finite_parameter_exit_2(capsys, flag, value):
+    # "=" keeps argparse from reading "-inf" as a flag
+    argv = ["solve", *BARE_SPIN, "--n", "0", "--m", "1", f"{flag}={value}"]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert f"invalid {flag}: must be finite" in err
 
 
 def test_solve_missing_flag_exit_2(capsys):
@@ -135,6 +145,17 @@ def test_sweep_malformed_states_exit_2(tmp_path, capsys):
     assert "--states" in err
 
 
+@pytest.mark.parametrize("flag, value", [("--a", "inf"), ("--to", "inf"), ("--from", "nan")])
+def test_sweep_non_finite_parameter_exit_2(tmp_path, capsys, flag, value):
+    argv = ["sweep", "--symmetry", "spin", "--M", "1", "--a", "1", "--b", "0", "--flux", "0",
+            "--vary", "B", "--from", "0", "--to", "1", "--steps", "3",
+            "--states", "0:0", "--out", str(tmp_path / "x.csv"), flag, value]
+    code, _, err = run(capsys, argv)
+    assert code == 2
+    assert "must be finite" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_sweep_svg_deterministic_roundtrip(tmp_path, capsys):
     args = [
         "sweep", "--symmetry", "pseudospin", "--M", "1", "--a", "1", "--b", "1",
@@ -169,6 +190,22 @@ def test_sweep_plot_over_a_range_below_rounding(tmp_path):
     subprocess.run([sys.executable, "-m", "diracosc.cli", *argv], cwd=tmp_path, env=env,
                    timeout=10, check=True, capture_output=True)
     assert (tmp_path / "s.svg").read_text().endswith("</svg>\n")
+
+
+@pytest.mark.parametrize("lo, hi", [(1.0, 1.0000000000000002), (3739099.323658337, 3739099.323658338)])
+def test_nice_ticks_are_distinct_and_inside_the_range(lo, hi):
+    # spans below the rounding of their ends: t += step stalls, and the
+    # first multiple of the step can fall below lo
+    ticks = _nice_ticks(lo, hi)
+    assert len(set(ticks)) == len(ticks) <= 6
+    assert all(lo <= t <= hi for t in ticks)
+    assert ticks == sorted(ticks)
+
+
+def test_nice_ticks_on_a_plain_range():
+    assert _nice_ticks(0.5, 5.0) == [1.0, 2.0, 3.0, 4.0, 5.0]
+    assert _nice_ticks(-0.3, 0.3) == [-0.2, 0.0, 0.2]
+    assert _nice_ticks(2.0, 2.0) == [2.0]
 
 
 def test_svg_breaks_polyline_on_empty_cells():
@@ -227,6 +264,24 @@ def test_wavefunction_no_state_exit_1(tmp_path, capsys):
         "--rmax", "5", "--samples", "100", "--out", str(tmp_path / "none.csv"),
     ])
     assert code == 1
+
+
+@pytest.mark.parametrize("rmax", ["inf", "nan", "0"])
+def test_wavefunction_invalid_rmax_exit_2(tmp_path, capsys, rmax):
+    code, _, err = run(capsys, [
+        "wavefunction", *BARE_SPIN, "--n", "0", "--m", "0",
+        "--rmax", rmax, "--samples", "100", "--out", str(tmp_path / "wf.csv"),
+    ])
+    assert code == 2
+    assert "invalid --rmax" in err
+    assert not (tmp_path / "wf.csv").exists()
+
+
+def test_nu_trace_non_finite_energy_exit_2(capsys):
+    code, out, err = run(capsys, ["nu-trace", *BARE_SPIN, "--m", "0", "--E", "inf"])
+    assert code == 2
+    assert out == ""
+    assert "invalid --E: must be finite" in err
 
 
 def test_nu_trace_output(capsys):

@@ -205,3 +205,11 @@ def test_configuration_validation():
         StateIndex(-1, 0)
     # b, B, phi_AB of any sign are fine
     FieldConfiguration(M=1, a=0, b=-2, B=-3, phi_AB=-7)
+
+
+@pytest.mark.parametrize("field", ["M", "a", "b", "B", "phi_AB", "e", "c"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_configuration_rejects_non_finite_fields(field, value):
+    params = {"M": 1.0, "a": 1.0, "b": 0.0, **{field: value}}
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        FieldConfiguration(**params)

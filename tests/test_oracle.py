@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 
 from diracosc import oracle
@@ -59,22 +58,17 @@ def test_fd_eigenvalue_validation():
 def test_grid_convergence_is_second_order():
     # |mu(h) - mu(h/2)| shrinks by ~4x per refinement on the P=1, D=0 instance
     mus = {}
-    for pts in (500, 1001, 2003):
-        mus[pts], _, _ = _single_grid_eigenvalue(1.0, 0.0, 12.0, pts, 0)
-    d1 = abs(mus[500] - mus[1001])
-    d2 = abs(mus[1001] - mus[2003])
+    for cells in (500, 1000, 2000):
+        mus[cells], _, _ = _single_grid_eigenvalue(1.0, 0.0, 12.0, cells, 0)
+    d1 = abs(mus[500] - mus[1000])
+    d2 = abs(mus[1000] - mus[2000])
     assert 3.0 < d1 / d2 < 5.0
 
 
 def test_sturm_count_brackets_index():
     # eigenvalue index equals the count of eigenvalues strictly below it
-    pts = 800
-    h = 12.0 / (pts + 1)
-    r = np.arange(1, pts + 1) * h
-    diag = 2.0 / h**2 + r * r
-    off2 = (1.0 / h**2) ** 2
     for n in (0, 1, 3):
-        mu, _, _ = _single_grid_eigenvalue(1.0, 0.0, 12.0, pts, n)
+        mu, diag, off2 = _single_grid_eigenvalue(1.0, 0.0, 12.0, 800, n)
         assert sturm_count(diag, off2, mu - 1e-8) == n
         assert sturm_count(diag, off2, mu + 1e-8) == n + 1
 
@@ -84,18 +78,18 @@ def test_sturm_count_matches_numpy_scalar_loop():
     def reference(diag, off2, x):
         count = 0
         d = None
-        for a in diag:
-            d = (a - x) if d is None else (a - x) - off2 / d
+        for i, a in enumerate(diag):
+            d = (a - x) if d is None else (a - x) - off2[i - 1] / d
             if d == 0.0:
                 d = -1e-300
             if d < 0.0:
                 count += 1
         return count
 
-    mu, diag, off = _single_grid_eigenvalue(1.3, 0.4, 12.0, 2003, 3)
-    xs = [mu - 1e-8, mu, mu + 1e-8, -5.0, 0.0, 50.0, 4.0 / (12.0 / 2004) ** 2]
+    mu, diag, off2 = _single_grid_eigenvalue(1.3, 0.4, 12.0, 2003, 3)
+    xs = [mu - 1e-8, mu, mu + 1e-8, -5.0, 0.0, 50.0, 4.0 / (12.0 / 2003) ** 2]
     for x in xs:
-        assert sturm_count(diag, off * off, x) == reference(diag, off * off, x)
+        assert sturm_count(diag, off2, x) == reference(diag, off2, x)
 
 
 def _recording(f):
@@ -198,20 +192,26 @@ def test_compare_regression_matrix_eigensolve_count(monkeypatch, regression_matr
 
 
 def test_compare_falls_back_to_the_wide_bracket(monkeypatch):
-    # b = 0, m = 0 sits at critical coupling, where the oracle's root is
-    # 1.631e-2 away: the tol-wide bracket has no sign change, the wide one does
-    calls = _count_eigensolves(monkeypatch)
+    # b = 0, m = 0 with flux: alpha = 1/(2 pi), below the regression matrix.
+    # GRID confirms it with the tol-wide bracket; on a coarse grid the
+    # oracle's root is 4.4e-8 away, so only the wide bracket changes sign
     cfg = FieldConfiguration(M=1, a=1, b=0, B=0.5, phi_AB=1)
+    calls = _count_eigensolves(monkeypatch)
     [rep] = compare(cfg, PS, StateIndex(0, 0), None, default_window(cfg))
-    assert rep.oracle_E is not None
-    assert abs(rep.abs_diff - 1.631e-2) < 1e-4
-    assert len(calls) <= 10
+    assert rep.abs_diff is not None and rep.abs_diff <= 1e-9
+    assert len(calls) == 2
+
+    calls.clear()
+    [rep] = compare(cfg, PS, StateIndex(0, 0), RadialGrid(12.0, 200), default_window(cfg))
+    assert rep.abs_diff is not None and 1e-8 < rep.abs_diff <= 1e-6
+    assert 2 < len(calls) <= 10
 
 
 def test_compare_fallback_without_a_root(monkeypatch):
-    # the critical spin ground state: neither bracket changes sign
+    # a box of 3 units cuts off the bare spin n = 3 state: neither bracket
+    # changes sign
     calls = _count_eigensolves(monkeypatch)
-    [rep] = compare(BARE, SP, StateIndex(0, 0), None, default_window(BARE))
+    [rep] = compare(BARE, SP, StateIndex(3, 0), RadialGrid(3.0, 200), default_window(BARE))
     assert rep.analytic_E is not None
     assert rep.oracle_E is None and rep.abs_diff is None
     assert len(calls) <= 4
@@ -234,6 +234,32 @@ def test_fd_eigenvalue_accuracy_is_independent_of_P(P):
             assert abs(fd_eigenvalue(P, D, GRID, n) - exact) <= 1e-7 * exact, (D, n)
 
 
+@pytest.mark.parametrize("D", [-0.25, -0.2, -0.1, 0.0, 0.3, 0.75, 2.0, 3.75, 10.0, 30.0])
+def test_fd_eigenvalue_is_accurate_for_every_inverse_square_coupling(D):
+    # the Frobenius factor r^(nu + 1/2) leaves a smooth remainder at every
+    # D >= -1/4, critical coupling included
+    for n in range(4):
+        exact = exact_mu(1.0, D, n)
+        assert abs(fd_eigenvalue(1.0, D, GRID, n) - exact) <= 1e-8 * exact, n
+
+
+def test_compare_confirms_every_b0_fractional_flux_state(monkeypatch):
+    # the AB flux regime: b = 0, alpha = |m - phi_AB / (2 pi)| from 0 to 0.8,
+    # below every state of the regression matrix (alpha >= 0.869)
+    calls = _count_eigensolves(monkeypatch)
+    roots = 0
+    for sym in (PS, SP):
+        for m in (0, 1):
+            for alpha in [0.05 * j for j in range(17)]:
+                cfg = FieldConfiguration(M=1, a=1, b=0, B=0, phi_AB=2 * math.pi * (m - alpha))
+                for n in range(4):
+                    for rep in compare(cfg, sym, StateIndex(n, m), None, default_window(cfg)):
+                        assert rep.abs_diff is not None and rep.abs_diff <= 1e-6, (sym, m, alpha, n)
+                        roots += 1
+    assert roots == 272
+    assert len(calls) == 2 * roots
+
+
 def test_compare_confirms_a_weakly_confined_state_near_an_edge():
     # pseudospin b = 0, m = 2, n = 1: the flux places a root at E_b = 7/8,
     # where P = p2 is 8.5e-13
@@ -245,10 +271,10 @@ def test_compare_confirms_a_weakly_confined_state_near_an_edge():
 
 def test_truncation_radius_is_converged():
     # doubling r_max (at fixed h) leaves the eigenvalue unchanged to
-    # far below the agreement threshold: Dirichlet truncation error is
-    # exponentially small for Gaussian-decaying states
+    # far below the agreement threshold: the truncation error of the closed
+    # face at r_max is exponentially small for Gaussian-decaying states
     base = fd_eigenvalue(1.0, 0.75, RadialGrid(12.0, 3000), 1)
-    wide = fd_eigenvalue(1.0, 0.75, RadialGrid(24.0, 6001), 1)
+    wide = fd_eigenvalue(1.0, 0.75, RadialGrid(24.0, 6000), 1)
     assert abs(base - wide) < 1e-8
 
 
@@ -266,34 +292,24 @@ def test_self_consistent_matches_analytic_bare_m1():
     assert abs(E_fd - state.E) <= 1e-6
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="delta = -1/4 exactly (b = 0, m = 0) is the critical inverse-square "
-    "coupling: the reduced solution goes like sqrt(r) at the origin and the "
-    "uniform 3-point scheme converges only ~1/ln(1/h) there, so the 1e-6 "
-    "match is unreachable at any practical resolution",
-)
 def test_self_consistent_bare_m0_n0_critical():
+    # delta = -1/4 exactly (b = 0, m = 0): the reduced solution goes like
+    # sqrt(r) at the origin, and the Frobenius factor takes that out
     state = find_states(BARE, SP, StateIndex(0, 0), SearchWindow(1.0001, 10.0))[0]
     E_fd = self_consistent_energy(BARE, SP, StateIndex(0, 0), GRID, (state.E - 0.3, state.E + 0.3))
     assert abs(E_fd - state.E) <= 1e-6
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="same critical-coupling limitation as the n = 0 case",
-)
 def test_self_consistent_bare_m0_n1_critical():
     state = find_states(BARE, SP, StateIndex(1, 0), SearchWindow(1.0001, 10.0))[0]
     E_fd = self_consistent_energy(BARE, SP, StateIndex(1, 0), GRID, (state.E - 0.3, state.E + 0.3))
     assert abs(E_fd - state.E) <= 1e-6
 
 
-def test_self_consistent_critical_coupling_is_systematically_high():
-    # documents the measured size of the critical-coupling defect
+def test_self_consistent_critical_coupling_is_accurate():
     state = find_states(BARE, SP, StateIndex(0, 0), SearchWindow(1.0001, 10.0))[0]
     E_fd = self_consistent_energy(BARE, SP, StateIndex(0, 0), GRID, (state.E - 0.3, state.E + 0.3))
-    assert 1e-3 < abs(E_fd - state.E) < 0.5
+    assert abs(E_fd - state.E) <= 1e-8
 
 
 def test_no_sign_change():

@@ -313,6 +313,10 @@ def test_window_validation():
         SweepSpec("a", 0.0, 1.0, 5)
     with pytest.raises(ValueError):
         SweepSpec("B", 0.0, 1.0, 1)
+    with pytest.raises(ValueError):
+        SweepSpec("B", 0.0, float("inf"), 5)
+    with pytest.raises(ValueError):
+        SweepSpec("phi_AB", float("nan"), 1.0, 5)
 
 
 def test_sweep_shape():
