@@ -10,6 +10,7 @@ Exit codes: 0 success with results, 1 no state found, 2 invalid parameters.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -146,17 +147,17 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
     header = _SOLVE_COLUMNS + (",oracle_E,oracle_diff" if args.verify else "")
     print(header)
-    oracle_map: dict[float, tuple[float | None, float | None]] = {}
+    # one report per state, in the same order; none when the oracle fails
+    reports: list[oracle.OracleComparison] = []
     if args.verify and states:
         try:
             reports = oracle.compare(cfg, sym, idx, None, window)
         except (oracle.GridTooCoarse, ValueError) as exc:
             print(f"oracle verification failed: {exc}", file=sys.stderr)
-            reports = []
         for rep in reports:
-            if rep.analytic_E is not None:
-                oracle_map[rep.analytic_E] = (rep.oracle_E, rep.abs_diff)
-    for s in states:
+            if rep.oracle_E is None:
+                print(f"no sign change of G within 1e-8 of E = {fmt(rep.analytic_E)}", file=sys.stderr)
+    for s, rep in itertools.zip_longest(states, reports):
         row = [
             sym.value,
             str(idx.n),
@@ -175,9 +176,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
             fmt(s.norm_const),
         ]
         if args.verify:
-            oracle_E, diff = oracle_map.get(s.E, (None, None))
-            row.append("" if oracle_E is None else fmt(oracle_E))
-            row.append("" if diff is None else fmt(diff))
+            confirmed = rep is not None and rep.oracle_E is not None
+            row.append(fmt(rep.oracle_E) if confirmed else "")
+            row.append(fmt(rep.abs_diff) if confirmed else "")
         print(",".join(row))
     return 0 if states else 1
 

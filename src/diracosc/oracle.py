@@ -7,13 +7,12 @@ bound-state condition is equivalent to the self-consistency requirement
 
     mu_n(P(E), D(E)) = E^2 - M^2 - gamma,
 
-with gamma the energy-independent field cross term, so resolving that in E
-by Brent's method recovers the nonlinear eigenvalue without touching the
-polynomial machinery of the analytic route.  ``compare`` first tries a
-bracket 1e-8 wide (Brent's stop) around each analytic root, where one sign
-change confirms it in two eigensolve pairs, and a wide bracket only when
-that has none.  The final Sturm index check runs on the matrices already
-built at the returned point.
+with gamma the energy-independent field cross term.  The oracle confirms
+an analytic root and does not search for one: ``compare`` brackets each root
+of ``find_states`` 1e-8 wide, and a sign change of G(E) = mu_n - (E^2 - M^2 -
+gamma) there, from two eigensolve pairs and without the polynomial machinery
+of the analytic route, confirms it.  The Sturm index check runs on the
+matrices already built at one end.
 
 Discretization: the Frobenius factor at r = 0 comes out exactly.  With
 nu = sqrt(D + 1/4) and u = r^(nu + 1/2) y, the remainder y is smooth and
@@ -39,10 +38,10 @@ import numpy as np
 
 from . import model
 from .model import Admissibility, FieldConfiguration, StateIndex, SymmetryLimit
-from .spectrum import SearchWindow, _brent, find_states
+from .spectrum import SearchWindow, find_states
 
 
-# Brent's stop in E: a sign change of G lies within this of the result
+# the oracle's bracket in E: a sign change of G within it confirms a root
 _TOL = 1e-8
 
 
@@ -93,7 +92,7 @@ def sturm_count(diag: np.ndarray, off2: np.ndarray, x: float) -> int:
     return count
 
 
-def _single_grid_eigenvalue(P: float, D: float, r_max: float, cells: int, n: int):
+def _single_grid_eigenvalue(D: float, r_max: float, cells: int, n: int):
     # imported on first use: scipy.linalg dominates the package's import time,
     # and only the oracle needs it
     from scipy.linalg import eigvalsh_tridiagonal
@@ -105,7 +104,7 @@ def _single_grid_eigenvalue(P: float, D: float, r_max: float, cells: int, n: int
     # would overflow for large k: t = (i - 1) / i, and w = weight / (i h)^k
     t = (i - 1.0) / i
     w = h * i * (1.0 - t ** (k + 1.0)) / (k + 1.0)
-    potential = P * h**3 * i**3 * (1.0 - t ** (k + 3.0)) / (k + 3.0)
+    potential = h**3 * i**3 * (1.0 - t ** (k + 3.0)) / (k + 3.0)
     # face conductances r_face^k / h, relative to (i h)^k; the faces r = 0
     # and r = r_max are closed
     inner = t**k / h
@@ -117,16 +116,14 @@ def _single_grid_eigenvalue(P: float, D: float, r_max: float, cells: int, n: int
     return float(mu[0]), diag, off * off
 
 
-def fd_eigenvalue(
-    P: float, D: float, grid: RadialGrid, n: int, with_index_check: bool = False
-) -> float | tuple[float, Callable[[], None]]:
+def fd_eigenvalue(P: float, D: float, grid: RadialGrid, n: int) -> tuple[float, Callable[[], None]]:
     """(n+1)-th smallest eigenvalue of the discretized operator on a grid in
-    units of P^(-1/4), Richardson-extrapolated from the grids h and h/2.
+    units of P^(-1/4), Richardson-extrapolated from the grids h and h/2, and
+    its index check.
 
-    With with_index_check=True the result is (eigenvalue, check): check()
-    re-checks the eigenvalue index against Sturm counts on both grids, on the
-    P = 1 matrices of this solve, and raises GridTooCoarse if they disagree
-    (meant for final answers, not inner loops).
+    check() re-checks the eigenvalue index against Sturm counts on both
+    grids, on the P = 1 matrices of this solve, and raises GridTooCoarse if
+    they disagree (meant for final answers, not for every solve).
     """
     if not P > 0.0:
         raise ValueError(f"P must be > 0, got {P}")
@@ -134,9 +131,9 @@ def fd_eigenvalue(
         raise ValueError(f"D must be >= -1/4, got {D}")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    mu_h, diag_h, off2_h = _single_grid_eigenvalue(1.0, D, grid.r_max, grid.points, n)
+    mu_h, diag_h, off2_h = _single_grid_eigenvalue(D, grid.r_max, grid.points, n)
     # the nested grid: every cell split in two
-    mu_f, diag_f, off2_f = _single_grid_eigenvalue(1.0, D, grid.r_max, 2 * grid.points, n)
+    mu_f, diag_f, off2_f = _single_grid_eigenvalue(D, grid.r_max, 2 * grid.points, n)
     if abs(mu_h - mu_f) > 0.1 * (1.0 + abs(mu_f)):
         raise GridTooCoarse(
             f"h and h/2 eigenvalues disagree: {mu_h} vs {mu_f} (n = {n})"
@@ -157,7 +154,7 @@ def fd_eigenvalue(
             )
 
     mu = math.sqrt(P) * (4.0 * mu_f - mu_h) / 3.0
-    return (mu, check_index) if with_index_check else mu
+    return mu, check_index
 
 
 def self_consistent_energy(
@@ -167,58 +164,53 @@ def self_consistent_energy(
     grid: RadialGrid,
     window: tuple[float, float],
 ) -> float:
-    """Root of G(E) = mu_n(P(E), D(E)) - (E^2 - M^2 - gamma) by Brent's method,
-    to within 1e-8.
+    """Zero of G(E) = mu_n(P(E), D(E)) - (E^2 - M^2 - gamma) in a window
+    1e-8 wide, from one G evaluation at each end.
 
-    The window must bracket exactly one root (callers center it on an
-    analytic root of ``find_states``); both endpoints must be admissible
-    energies.  A window no wider than 1e-8 costs two G evaluations: Brent
-    stops at once on a sign change.
+    Callers center the window on an analytic root of ``find_states``; both
+    ends must be admissible energies, and a window wider than twice 1e-8
+    (room for the rounding of its ends) raises ValueError.  Without a sign
+    change of G between the ends this raises NoSignChange: the root is not
+    the oracle's to within 1e-8.
 
-    The eigenvalue index is verified by Sturm counts at the point Brent
-    returns, on the matrices G built there, so the check solves nothing.
-    Unless G is exactly zero there, the result is the secant point of the
-    final sign-change bracket (at most 1e-8 wide), from the G values at its
-    ends: a measurement, not an end of the bracket.
+    Unless G is exactly zero at an end, the result is the secant point of
+    the two G values: a measurement, not an end of the window.  The
+    eigenvalue index is verified by Sturm counts at the end with the
+    smaller |G|, on the matrices G built there, so the check solves nothing.
     """
+    lo, hi = window
+    if not lo <= hi <= lo + 2.0 * _TOL:
+        raise ValueError(f"window [{lo}, {hi}] must be an interval at most {_TOL} wide")
     gamma = model.field_cross_term(cfg, idx.m)
-    # every G evaluation of this call: E -> (G(E), index check at E)
-    seen: dict[float, tuple[float, Callable[[], None]]] = {}
 
-    def G(E: float) -> float:
+    def G(E: float) -> tuple[float, Callable[[], None]]:
         coeffs = model.reduced_coefficients(cfg, sym, idx.m, E)
         if model.admissible(coeffs) is not Admissibility.ADMISSIBLE:
             raise ValueError(f"window reaches inadmissible energy E = {E}")
-        mu, check = fd_eigenvalue(
-            coeffs.p2, coeffs.delta, grid, idx.n, with_index_check=True
-        )
-        g = mu - (E * E - cfg.M**2 - gamma)
-        seen[E] = g, check
-        return g
+        mu, check = fd_eigenvalue(coeffs.p2, coeffs.delta, grid, idx.n)
+        return mu - (E * E - cfg.M**2 - gamma), check
 
-    lo, hi = window
-    glo = G(lo)
-    ghi = G(hi)
+    glo, check_lo = G(lo)
+    ghi, check_hi = G(hi)
     if glo * ghi > 0.0:
         raise NoSignChange(f"G has no sign change on [{lo}, {hi}]")
-    b = _brent(G, lo, hi, glo, ghi, _TOL)
-    gb, check = seen[b]
+    # b is the end with the smaller |G| (hi on a tie)
+    if abs(glo) < abs(ghi):
+        b, gb, c, gc, check = lo, glo, hi, ghi, check_lo
+    else:
+        b, gb, c, gc, check = hi, ghi, lo, glo, check_hi
     check()
     if gb == 0.0:
         return b
-    # the nearest evaluation with the other sign closes the final bracket
-    c = min((E for E, (g, _) in seen.items() if (g > 0.0) != (gb > 0.0)),
-            key=lambda E: abs(E - b))
-    gc = seen[c][0]
     return b - gb * (c - b) / (gc - gb)
 
 
 @dataclass(frozen=True)
 class OracleComparison:
-    """Paired analytic / finite-volume result for one root (None marks
-    a state absent on that side)."""
+    """Paired analytic / finite-volume result for one analytic root
+    (oracle_E and abs_diff are None when the oracle does not confirm it)."""
 
-    analytic_E: float | None
+    analytic_E: float
     oracle_E: float | None
     abs_diff: float | None
 
@@ -230,25 +222,20 @@ def compare(
     grid: RadialGrid | None,
     window: SearchWindow,
 ) -> list[OracleComparison]:
-    """Run both solvers over the window; one comparison per analytic root.
+    """Confirm each analytic root in the window with the oracle; one
+    comparison per root of ``find_states``, ascending in E, and [] when
+    there is none.
 
-    No threshold is enforced here, this is reporting only.  grid=None means
-    GRID.  Of each analytic state only E and origin are read.
+    Each root E gets one bracket E -+ 1e-8 / 2 (narrower next to another
+    root or to the state's origin) and two eigensolve pairs: a sign change
+    of G there confirms it, and no sign change leaves oracle_E None.  No threshold is enforced here, this is reporting only.
+    grid=None means GRID.  Of each analytic state only E and origin are read.
     """
     grid = GRID if grid is None else grid
     analytic = find_states(cfg, sym, idx, window)
-    if not analytic:
-        try:
-            oracle_E = self_consistent_energy(
-                cfg, sym, idx, grid, (window.e_min, window.e_max)
-            )
-        except (NoSignChange, ValueError, GridTooCoarse):
-            return [OracleComparison(None, None, None)]
-        return [OracleComparison(None, oracle_E, None)]
-
     reports = []
     for i, state in enumerate(analytic):
-        half = 0.1
+        half = _TOL / 2
         if i > 0:
             half = min(half, 0.45 * (state.E - analytic[i - 1].E))
         if i + 1 < len(analytic):
@@ -256,19 +243,12 @@ def compare(
         # half the distance to the state's origin, the nearest edge or mass
         # shell, keeps both ends of the bracket admissible
         half = min(half, 0.5 * abs(state.E - state.origin))
-        # a tol-wide bracket first: where the analytic root is the oracle's
-        # to within Brent's stop, its sign change confirms it in two solves;
-        # the wide bracket only when that fails, and only once (not at all
-        # when half is no wider)
-        oracle_E = None
-        for width in dict.fromkeys((min(_TOL / 2, half), half)):
-            try:
-                oracle_E = self_consistent_energy(
-                    cfg, sym, idx, grid, (state.E - width, state.E + width)
-                )
-                break
-            except NoSignChange:
-                pass
+        try:
+            oracle_E = self_consistent_energy(
+                cfg, sym, idx, grid, (state.E - half, state.E + half)
+            )
+        except NoSignChange:
+            oracle_E = None
         diff = None if oracle_E is None else abs(state.E - oracle_E)
         reports.append(OracleComparison(state.E, oracle_E, diff))
     return reports

@@ -247,9 +247,7 @@ def _candidates(roots, p2, d, q, n: int, lo: float, hi: float) -> list[float]:
         if y > _IMAG_TOL * (1.0 + abs(x)) or not lo - spread <= x <= hi + spread:
             continue
         x = min(max(x, lo), hi)
-        p2x = p2[0] + p2[1] * x
-        dx = d[0] + d[1] * x
-        qx = q[0] + x * (q[1] + x * q[2])
+        p2x, dx, qx = _evaluate((p2, d, q), x)
         dq = q[1] + 2.0 * q[2] * x
         inner = qx * qx - 4.0 * p2x * (K2 + dx)
         dinner = 2.0 * qx * dq - 4.0 * p2[1] * (K2 + dx) - 4.0 * p2x * d[1]

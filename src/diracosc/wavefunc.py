@@ -44,8 +44,8 @@ def radial_profile(state: BoundState, r_max: float | None = None, samples: int =
     """Sample the normalized g on a uniform grid over (0, r_max]."""
     if r_max is None:
         r_max = default_r_max(state)
-    if not r_max > 0.0:
-        raise ValueError(f"r_max must be > 0, got {r_max}")
+    if not 0.0 < r_max < math.inf:
+        raise ValueError(f"r_max must be finite and > 0, got {r_max}")
     r = np.linspace(r_max / samples, r_max, samples)
     return RadialProfile(state=state, r=r, g=radial_value(state, r))
 

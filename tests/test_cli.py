@@ -7,8 +7,10 @@ import sys
 import pytest
 
 import diracosc
+from diracosc import oracle
 from diracosc.cli import _nice_ticks, main, svg_linechart
 from diracosc.model import FieldConfiguration, StateIndex, SymmetryLimit
+from diracosc.oracle import RadialGrid
 from diracosc.spectrum import SweepSpec, default_window, sweep
 
 BARE_SPIN = ["--symmetry", "spin", "--M", "1", "--a", "1", "--b", "0", "--B", "0", "--flux", "0"]
@@ -44,6 +46,22 @@ def test_solve_verify_columns(capsys):
         assert lines[0].endswith(",oracle_E,oracle_diff")
         for line in lines[1:]:
             assert float(line.split(",")[-1]) <= 1e-6, (sym, line)
+
+
+def test_solve_verify_names_an_unconfirmed_root(capsys, monkeypatch):
+    # on a coarse oracle grid the b = 0 flux state's oracle root is 4.4e-8
+    # away: its oracle columns stay empty, and stderr says why
+    monkeypatch.setattr(oracle, "GRID", RadialGrid(12.0, 200))
+    code, out, err = run(
+        capsys,
+        ["solve", "--symmetry", "pseudospin", "--M", "1", "--a", "1", "--b", "0",
+         "--B", "0.5", "--flux", "1", "--n", "0", "--m", "0", "--verify"],
+    )
+    assert code == 0
+    [row] = out.strip().splitlines()[1:]
+    assert row.endswith(",,")
+    E = row.split(",")[10]
+    assert err == f"no sign change of G within 1e-8 of E = {E}\n"
 
 
 def test_solve_no_state_exit_1(capsys):

@@ -8,16 +8,14 @@ from diracosc.oracle import (
     GRID,
     GridTooCoarse,
     NoSignChange,
-    OracleComparison,
     RadialGrid,
-    _brent,
     _single_grid_eigenvalue,
     compare,
     fd_eigenvalue,
     self_consistent_energy,
     sturm_count,
 )
-from diracosc.spectrum import SearchWindow, default_window, find_states
+from diracosc.spectrum import SearchWindow, _brent, default_window, find_states
 
 PS = SymmetryLimit.PSEUDOSPIN
 SP = SymmetryLimit.SPIN
@@ -28,15 +26,20 @@ def exact_mu(P: float, D: float, n: int) -> float:
     return 2.0 * math.sqrt(P) * (2 * n + 1 + math.sqrt(D + 0.25))
 
 
+def fd_mu(P: float, D: float, grid: RadialGrid, n: int) -> float:
+    mu, _ = fd_eigenvalue(P, D, grid, n)
+    return mu
+
+
 def test_fd_eigenvalue_reduced_oscillator():
-    assert abs(fd_eigenvalue(1.0, 0.0, GRID, 0) - 3.0) < 1e-8
-    assert abs(fd_eigenvalue(1.0, 0.0, GRID, 1) - 7.0) < 1e-8
-    assert abs(fd_eigenvalue(1.0, 0.75, GRID, 0) - 4.0) < 1e-6
+    assert abs(fd_mu(1.0, 0.0, GRID, 0) - 3.0) < 1e-8
+    assert abs(fd_mu(1.0, 0.0, GRID, 1) - 7.0) < 1e-8
+    assert abs(fd_mu(1.0, 0.75, GRID, 0) - 4.0) < 1e-6
 
 
 def test_fd_eigenvalue_verify_index_path():
     grid = RadialGrid(12.0, 1500)
-    mu, check = fd_eigenvalue(2.0, 0.75, grid, 2, with_index_check=True)
+    mu, check = fd_eigenvalue(2.0, 0.75, grid, 2)
     check()
     assert abs(mu - exact_mu(2.0, 0.75, 2)) < 1e-5
 
@@ -59,7 +62,7 @@ def test_grid_convergence_is_second_order():
     # |mu(h) - mu(h/2)| shrinks by ~4x per refinement on the P=1, D=0 instance
     mus = {}
     for cells in (500, 1000, 2000):
-        mus[cells], _, _ = _single_grid_eigenvalue(1.0, 0.0, 12.0, cells, 0)
+        mus[cells], _, _ = _single_grid_eigenvalue(0.0, 12.0, cells, 0)
     d1 = abs(mus[500] - mus[1000])
     d2 = abs(mus[1000] - mus[2000])
     assert 3.0 < d1 / d2 < 5.0
@@ -68,7 +71,7 @@ def test_grid_convergence_is_second_order():
 def test_sturm_count_brackets_index():
     # eigenvalue index equals the count of eigenvalues strictly below it
     for n in (0, 1, 3):
-        mu, diag, off2 = _single_grid_eigenvalue(1.0, 0.0, 12.0, 800, n)
+        mu, diag, off2 = _single_grid_eigenvalue(0.0, 12.0, 800, n)
         assert sturm_count(diag, off2, mu - 1e-8) == n
         assert sturm_count(diag, off2, mu + 1e-8) == n + 1
 
@@ -86,7 +89,7 @@ def test_sturm_count_matches_numpy_scalar_loop():
                 count += 1
         return count
 
-    mu, diag, off2 = _single_grid_eigenvalue(1.3, 0.4, 12.0, 2003, 3)
+    mu, diag, off2 = _single_grid_eigenvalue(0.4, 12.0, 2003, 3)
     xs = [mu - 1e-8, mu, mu + 1e-8, -5.0, 0.0, 50.0, 4.0 / (12.0 / 2003) ** 2]
     for x in xs:
         assert sturm_count(diag, off2, x) == reference(diag, off2, x)
@@ -150,13 +153,30 @@ def _count_eigensolves(monkeypatch) -> list[tuple]:
     return calls
 
 
+def tol_bracket(E: float) -> tuple[float, float]:
+    """The bracket compare gives a root far from its neighbours and edges.
+
+    The result lies inside it, within 5e-9 of E by construction, so the
+    bounds below (1e-9) test the secant measurement, not the bracket."""
+    return E - 5e-9, E + 5e-9
+
+
 def test_self_consistent_eigensolve_count(monkeypatch):
-    # Brent on the smooth G: 2 endpoints and a few interior steps; the index
-    # check runs on the matrices of the returned point and solves nothing
+    # one G evaluation per end; the index check runs on the matrices of the
+    # end with the smaller |G| and solves nothing
     calls = _count_eigensolves(monkeypatch)
     state = find_states(BARE, SP, StateIndex(0, 1), SearchWindow(1.0001, 10.0))[0]
-    self_consistent_energy(BARE, SP, StateIndex(0, 1), GRID, (state.E - 0.2, state.E + 0.2))
-    assert len(calls) <= 10
+    self_consistent_energy(BARE, SP, StateIndex(0, 1), GRID, tol_bracket(state.E))
+    assert len(calls) == 2
+
+
+def test_self_consistent_rejects_a_wide_window():
+    # the oracle confirms a root and does not search for one
+    state = find_states(BARE, SP, StateIndex(0, 1), SearchWindow(1.0001, 10.0))[0]
+    for window in ((state.E - 0.2, state.E + 0.2), (state.E - 2e-8, state.E + 2e-8),
+                   (state.E + 5e-9, state.E - 5e-9)):
+        with pytest.raises(ValueError):
+            self_consistent_energy(BARE, SP, StateIndex(0, 1), GRID, window)
 
 
 def test_tol_wide_bracket_costs_two_eigensolves(monkeypatch):
@@ -191,10 +211,11 @@ def test_compare_regression_matrix_eigensolve_count(monkeypatch, regression_matr
     assert len(calls) == 2 * roots
 
 
-def test_compare_falls_back_to_the_wide_bracket(monkeypatch):
+def test_compare_reports_a_disagreement_as_unconfirmed(monkeypatch):
     # b = 0, m = 0 with flux: alpha = 1/(2 pi), below the regression matrix.
-    # GRID confirms it with the tol-wide bracket; on a coarse grid the
-    # oracle's root is 4.4e-8 away, so only the wide bracket changes sign
+    # GRID confirms it; on a coarse grid the oracle's root is 4.4e-8 away,
+    # so G has no sign change in the tol-wide bracket and the root stays
+    # unconfirmed
     cfg = FieldConfiguration(M=1, a=1, b=0, B=0.5, phi_AB=1)
     calls = _count_eigensolves(monkeypatch)
     [rep] = compare(cfg, PS, StateIndex(0, 0), None, default_window(cfg))
@@ -203,18 +224,19 @@ def test_compare_falls_back_to_the_wide_bracket(monkeypatch):
 
     calls.clear()
     [rep] = compare(cfg, PS, StateIndex(0, 0), RadialGrid(12.0, 200), default_window(cfg))
-    assert rep.abs_diff is not None and 1e-8 < rep.abs_diff <= 1e-6
-    assert 2 < len(calls) <= 10
+    assert rep.analytic_E is not None
+    assert rep.oracle_E is None and rep.abs_diff is None
+    assert len(calls) == 2
 
 
 def test_compare_fallback_without_a_root(monkeypatch):
-    # a box of 3 units cuts off the bare spin n = 3 state: neither bracket
-    # changes sign
+    # a box of 3 units cuts off the bare spin n = 3 state: the bracket has
+    # no sign change
     calls = _count_eigensolves(monkeypatch)
     [rep] = compare(BARE, SP, StateIndex(3, 0), RadialGrid(3.0, 200), default_window(BARE))
     assert rep.analytic_E is not None
     assert rep.oracle_E is None and rep.abs_diff is None
-    assert len(calls) <= 4
+    assert len(calls) == 2
 
 
 def test_grid_too_coarse():
@@ -231,7 +253,7 @@ def test_fd_eigenvalue_accuracy_is_independent_of_P(P):
     for D in (0.0, 0.75, 3.75):
         for n in (0, 3):
             exact = exact_mu(P, D, n)
-            assert abs(fd_eigenvalue(P, D, GRID, n) - exact) <= 1e-7 * exact, (D, n)
+            assert abs(fd_mu(P, D, GRID, n) - exact) <= 1e-7 * exact, (D, n)
 
 
 @pytest.mark.parametrize("D", [-0.25, -0.2, -0.1, 0.0, 0.3, 0.75, 2.0, 3.75, 10.0, 30.0])
@@ -240,7 +262,7 @@ def test_fd_eigenvalue_is_accurate_for_every_inverse_square_coupling(D):
     # D >= -1/4, critical coupling included
     for n in range(4):
         exact = exact_mu(1.0, D, n)
-        assert abs(fd_eigenvalue(1.0, D, GRID, n) - exact) <= 1e-8 * exact, n
+        assert abs(fd_mu(1.0, D, GRID, n) - exact) <= 1e-8 * exact, n
 
 
 def test_compare_confirms_every_b0_fractional_flux_state(monkeypatch):
@@ -273,49 +295,59 @@ def test_truncation_radius_is_converged():
     # doubling r_max (at fixed h) leaves the eigenvalue unchanged to
     # far below the agreement threshold: the truncation error of the closed
     # face at r_max is exponentially small for Gaussian-decaying states
-    base = fd_eigenvalue(1.0, 0.75, RadialGrid(12.0, 3000), 1)
-    wide = fd_eigenvalue(1.0, 0.75, RadialGrid(24.0, 6000), 1)
+    base = fd_mu(1.0, 0.75, RadialGrid(12.0, 3000), 1)
+    wide = fd_mu(1.0, 0.75, RadialGrid(24.0, 6000), 1)
     assert abs(base - wide) < 1e-8
 
 
-def test_self_consistent_matches_analytic_with_fields():
+def test_self_consistent_matches_analytic_with_fields(monkeypatch):
+    calls = _count_eigensolves(monkeypatch)
     cfg = FieldConfiguration(M=1, a=1, b=1, B=2, phi_AB=math.pi)
     state = find_states(cfg, PS, StateIndex(0, 1), SearchWindow(1.1, 21.0))[0]
-    E_fd = self_consistent_energy(cfg, PS, StateIndex(0, 1), GRID, (state.E - 0.2, state.E + 0.2))
-    assert abs(E_fd - state.E) <= 1e-6
+    E_fd = self_consistent_energy(cfg, PS, StateIndex(0, 1), GRID, tol_bracket(state.E))
+    assert abs(E_fd - state.E) <= 1e-9
+    assert len(calls) == 2
 
 
-def test_self_consistent_matches_analytic_bare_m1():
+def test_self_consistent_matches_analytic_bare_m1(monkeypatch):
     # b = 0, m = 1: D = 3/4, regular at the origin
+    calls = _count_eigensolves(monkeypatch)
     state = find_states(BARE, SP, StateIndex(0, 1), SearchWindow(1.0001, 10.0))[0]
-    E_fd = self_consistent_energy(BARE, SP, StateIndex(0, 1), GRID, (state.E - 0.2, state.E + 0.2))
-    assert abs(E_fd - state.E) <= 1e-6
+    E_fd = self_consistent_energy(BARE, SP, StateIndex(0, 1), GRID, tol_bracket(state.E))
+    assert abs(E_fd - state.E) <= 1e-9
+    assert len(calls) == 2
 
 
-def test_self_consistent_bare_m0_n0_critical():
+def test_self_consistent_bare_m0_n0_critical(monkeypatch):
     # delta = -1/4 exactly (b = 0, m = 0): the reduced solution goes like
     # sqrt(r) at the origin, and the Frobenius factor takes that out
+    calls = _count_eigensolves(monkeypatch)
     state = find_states(BARE, SP, StateIndex(0, 0), SearchWindow(1.0001, 10.0))[0]
-    E_fd = self_consistent_energy(BARE, SP, StateIndex(0, 0), GRID, (state.E - 0.3, state.E + 0.3))
-    assert abs(E_fd - state.E) <= 1e-6
+    E_fd = self_consistent_energy(BARE, SP, StateIndex(0, 0), GRID, tol_bracket(state.E))
+    assert abs(E_fd - state.E) <= 1e-9
+    assert len(calls) == 2
 
 
-def test_self_consistent_bare_m0_n1_critical():
+def test_self_consistent_bare_m0_n1_critical(monkeypatch):
+    calls = _count_eigensolves(monkeypatch)
     state = find_states(BARE, SP, StateIndex(1, 0), SearchWindow(1.0001, 10.0))[0]
-    E_fd = self_consistent_energy(BARE, SP, StateIndex(1, 0), GRID, (state.E - 0.3, state.E + 0.3))
-    assert abs(E_fd - state.E) <= 1e-6
+    E_fd = self_consistent_energy(BARE, SP, StateIndex(1, 0), GRID, tol_bracket(state.E))
+    assert abs(E_fd - state.E) <= 1e-9
+    assert len(calls) == 2
 
 
 def test_self_consistent_critical_coupling_is_accurate():
     state = find_states(BARE, SP, StateIndex(0, 0), SearchWindow(1.0001, 10.0))[0]
-    E_fd = self_consistent_energy(BARE, SP, StateIndex(0, 0), GRID, (state.E - 0.3, state.E + 0.3))
-    assert abs(E_fd - state.E) <= 1e-8
+    E_fd = self_consistent_energy(BARE, SP, StateIndex(0, 0), GRID, tol_bracket(state.E))
+    assert abs(E_fd - state.E) <= 1e-9
 
 
-def test_no_sign_change():
-    grid = RadialGrid(12.0, 500)
+def test_no_sign_change(monkeypatch):
+    # bare spin n = 0, m = 0 has no root in (1.05, 1.5)
+    calls = _count_eigensolves(monkeypatch)
     with pytest.raises(NoSignChange):
-        self_consistent_energy(BARE, SP, StateIndex(0, 0), grid, (1.05, 1.5))
+        self_consistent_energy(BARE, SP, StateIndex(0, 0), RadialGrid(12.0, 500), tol_bracket(1.3))
+    assert len(calls) == 2
 
 
 def test_compare_regression_entry():
@@ -337,18 +369,22 @@ def test_compare_confirms_roots_near_an_edge():
     assert all(rep.abs_diff is not None and rep.abs_diff <= 1e-8 for rep in reports)
 
 
-def test_compare_absent_in_both():
+def test_compare_absent_in_both(monkeypatch):
+    # no analytic root in the window: nothing to confirm, nothing solved
+    calls = _count_eigensolves(monkeypatch)
     reports = compare(BARE, SP, StateIndex(0, 0), RadialGrid(12.0, 500), SearchWindow(1.05, 1.5))
-    assert reports == [OracleComparison(None, None, None)]
+    assert reports == []
+    assert len(calls) == 0
 
 
-def test_wrong_symmetry_negative_control():
+def test_wrong_symmetry_negative_control(monkeypatch):
     # analytic level from the spin problem, oracle run with pseudospin
-    # coefficients: the mismatch must be far outside the agreement threshold
+    # coefficients: G has no sign change at the spin root
+    calls = _count_eigensolves(monkeypatch)
     spin_E = find_states(BARE, SP, StateIndex(0, 0), SearchWindow(1.0001, 10.0))[0].E
-    grid = RadialGrid(12.0, 1500)
-    E_wrong = self_consistent_energy(BARE, PS, StateIndex(0, 0), grid, (1.5, 2.2))
-    assert abs(E_wrong - spin_E) > 0.1
+    with pytest.raises(NoSignChange):
+        self_consistent_energy(BARE, PS, StateIndex(0, 0), GRID, tol_bracket(spin_E))
+    assert len(calls) == 2
 
 
 def test_scipy_loads_with_the_first_eigensolve():

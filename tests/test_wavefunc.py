@@ -139,8 +139,10 @@ def test_ode_residual_detects_wrong_energy():
 
 def test_radial_profile_validation():
     state = bare_state(0, 0)
-    with pytest.raises(ValueError):
-        radial_profile(state, r_max=0.0)
+    # r_max = inf gave NaN samples: r^(alpha + 1/2) exp(-p~ r^2 / 2) is inf * 0
+    for r_max in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            radial_profile(state, r_max=r_max)
 
 
 def test_norm_quadrature_of_weakly_confined_state():
