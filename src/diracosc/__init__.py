@@ -3,7 +3,6 @@ uniform magnetic and Aharonov-Bohm flux fields."""
 
 from .model import (
     Admissibility,
-    ExcludedEnergy,
     FieldConfiguration,
     ReducedCoefficients,
     StateIndex,
@@ -24,12 +23,11 @@ from .spectrum import (
     find_states,
     sweep,
 )
-from .wavefunc import RadialProfile, count_nodes, normalization, ode_residual, radial_profile
+from .wavefunc import RadialProfile, count_nodes, ode_residual, radial_profile
 
 __all__ = [
     "Admissibility",
     "BoundState",
-    "ExcludedEnergy",
     "FieldConfiguration",
     "InadmissibleEnergy",
     "OracleComparison",
@@ -49,7 +47,6 @@ __all__ = [
     "energy_condition",
     "fd_eigenvalue",
     "find_states",
-    "normalization",
     "ode_residual",
     "radial_profile",
     "reduced_coefficients",

@@ -386,14 +386,11 @@ def cmd_nu_trace(args: argparse.Namespace) -> int:
     E = args.E
     if not math.isfinite(E):
         raise CliError(f"invalid --E: must be finite, got {E}")
-    try:
-        coeffs = model.reduced_coefficients(cfg, sym, m, E)
-    except model.ExcludedEnergy as exc:
-        print(f"inadmissible probe energy: {exc}", file=sys.stderr)
-        return 2
+    coeffs = model.reduced_coefficients(cfg, sym, m, E)
     verdict = model.admissible(coeffs)
     if verdict is not model.Admissibility.ADMISSIBLE:
         detail = {
+            model.Admissibility.EXCLUDED_ENERGY: f"{sym.value} mass shell, mu = 0",
             model.Admissibility.NOT_CONFINING: f"p2 = {fmt(coeffs.p2)} <= 0",
             model.Admissibility.SUPERCRITICAL_INVERSE_SQUARE: (
                 f"delta + 1/4 = {fmt(coeffs.delta + 0.25)} < 0"

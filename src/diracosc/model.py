@@ -21,10 +21,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 
-class ExcludedEnergy(ValueError):
-    """Trial energy sits exactly on the forbidden mass shell."""
-
-
 class SymmetryLimit(Enum):
     PSEUDOSPIN = "pseudospin"
     SPIN = "spin"
@@ -88,7 +84,7 @@ class StateIndex:
 @dataclass(frozen=True)
 class ReducedCoefficients:
     """Coefficients (p2, q, delta) of the radial bracket at one trial energy,
-    plus the flux-shifted angular number m_eff.
+    plus the flux-shifted angular number m_eff and the mass factor mu.
 
     By construction delta + 1/4 = m_eff^2 + 2 mu b.
     """
@@ -97,6 +93,7 @@ class ReducedCoefficients:
     q: float
     delta: float
     m_eff: float
+    mu: float
 
 
 def effective_angular(m: int, cfg: FieldConfiguration) -> float:
@@ -122,18 +119,15 @@ def reduced_coefficients(
         q     = e^2 B phi_AB / (2 pi c^2) - e m B / (2 c) - (E^2 - M^2)
         delta = m'^2 - 1/4 + 2 mu b
 
-    Raises ExcludedEnergy when E equals the forbidden mass shell.
+    On the mass shell (mu = 0) they are computed all the same; ``admissible``
+    rejects them.
     """
-    if E == sym.forbidden_energy(cfg.M):
-        raise ExcludedEnergy(
-            f"E = {E} is the excluded mass-shell energy for {sym.value} symmetry"
-        )
     mu = sym.mass_factor(E, cfg.M)
     m_eff = effective_angular(m, cfg)
     p2 = 2.0 * mu * cfg.a + (cfg.e * cfg.B) ** 2 / (4.0 * cfg.c**2)
     q = field_cross_term(cfg, m) - (E**2 - cfg.M**2)
     delta = m_eff**2 + 2.0 * mu * cfg.b - 0.25
-    return ReducedCoefficients(p2=p2, q=q, delta=delta, m_eff=m_eff)
+    return ReducedCoefficients(p2=p2, q=q, delta=delta, m_eff=m_eff, mu=mu)
 
 
 def coefficient_polynomials(
@@ -155,12 +149,16 @@ def coefficient_polynomials(
 
 
 def admissible(coeffs: ReducedCoefficients) -> Admissibility:
-    """Reality check on both radicands of the bound-state condition.
+    """Where the bound-state condition is defined: off the mass shell, and
+    with both of its radicands real.
 
-    Confinement needs p2 > 0; the inverse-square term must stay subcritical,
-    delta + 1/4 >= 0.  A configuration with a = 0 and B = 0 fails the first
-    test at every energy.
+    The mass shell mu = 0 (E = +-M, exactly) is where the eliminated spinor
+    component is undefined.  Confinement needs p2 > 0; the inverse-square
+    term must stay subcritical, delta + 1/4 >= 0.  A configuration with
+    a = 0 and B = 0 fails the confinement test at every energy.
     """
+    if coeffs.mu == 0.0:
+        return Admissibility.EXCLUDED_ENERGY
     if not coeffs.p2 > 0.0:
         return Admissibility.NOT_CONFINING
     if coeffs.delta + 0.25 < 0.0:

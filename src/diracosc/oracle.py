@@ -5,14 +5,14 @@ At fixed trial energy E the radial equation is a linear Sturm-Liouville
 problem: -u'' + (P r^2 + D / r^2) u = mu u on (0, r_max).  The analytic
 bound-state condition is equivalent to the self-consistency requirement
 
-    mu_n(P(E), D(E)) = E^2 - M^2 - gamma,
+    mu_n(P(E), D(E)) + q(E) = 0,
 
-with gamma the energy-independent field cross term.  The oracle confirms
-an analytic root and does not search for one: ``compare`` brackets each root
-of ``find_states`` 1e-8 wide, and a sign change of G(E) = mu_n - (E^2 - M^2 -
-gamma) there, from two eigensolve pairs and without the polynomial machinery
-of the analytic route, confirms it.  The Sturm index check runs on the
-matrices already built at one end.
+with (P, D, q) = (p2, delta, q) the radial-bracket coefficients of
+``model.reduced_coefficients``.  The oracle confirms an analytic root and
+does not search for one: ``compare`` brackets each root of ``find_states``
+1e-8 wide, and a sign change of G(E) = mu_n + q there, from two eigensolve
+pairs and without the polynomial machinery of the analytic route, confirms
+it.  The Sturm index check runs on the matrices already built at one end.
 
 Discretization: the Frobenius factor at r = 0 comes out exactly.  With
 nu = sqrt(D + 1/4) and u = r^(nu + 1/2) y, the remainder y is smooth and
@@ -164,8 +164,8 @@ def self_consistent_energy(
     grid: RadialGrid,
     window: tuple[float, float],
 ) -> float:
-    """Zero of G(E) = mu_n(P(E), D(E)) - (E^2 - M^2 - gamma) in a window
-    1e-8 wide, from one G evaluation at each end.
+    """Zero of G(E) = mu_n(P(E), D(E)) + q(E) in a window 1e-8 wide, from
+    one G evaluation at each end.
 
     Callers center the window on an analytic root of ``find_states``; both
     ends must be admissible energies, and a window wider than twice 1e-8
@@ -181,14 +181,13 @@ def self_consistent_energy(
     lo, hi = window
     if not lo <= hi <= lo + 2.0 * _TOL:
         raise ValueError(f"window [{lo}, {hi}] must be an interval at most {_TOL} wide")
-    gamma = model.field_cross_term(cfg, idx.m)
 
     def G(E: float) -> tuple[float, Callable[[], None]]:
         coeffs = model.reduced_coefficients(cfg, sym, idx.m, E)
         if model.admissible(coeffs) is not Admissibility.ADMISSIBLE:
             raise ValueError(f"window reaches inadmissible energy E = {E}")
         mu, check = fd_eigenvalue(coeffs.p2, coeffs.delta, grid, idx.n)
-        return mu - (E * E - cfg.M**2 - gamma), check
+        return mu + coeffs.q, check
 
     glo, check_lo = G(lo)
     ghi, check_hi = G(hi)

@@ -103,10 +103,7 @@ class BoundState:
 
 def energy_condition(cfg: FieldConfiguration, sym: SymmetryLimit, idx: StateIndex, E: float) -> float:
     """F(E); raises InadmissibleEnergy outside the admissible set."""
-    try:
-        coeffs = model.reduced_coefficients(cfg, sym, idx.m, E)
-    except model.ExcludedEnergy:
-        raise InadmissibleEnergy(Admissibility.EXCLUDED_ENERGY, E) from None
+    coeffs = model.reduced_coefficients(cfg, sym, idx.m, E)
     verdict = model.admissible(coeffs)
     if verdict is not Admissibility.ADMISSIBLE:
         raise InadmissibleEnergy(verdict, E)
@@ -179,14 +176,6 @@ def edge_coefficients(cfg: FieldConfiguration, sym: SymmetryLimit, m: int, origi
     return _evaluate(_local_polynomials(cfg, sym, m, origin), offset)
 
 
-def _is_admissible(cfg: FieldConfiguration, sym: SymmetryLimit, m: int, E: float) -> bool:
-    try:
-        coeffs = model.reduced_coefficients(cfg, sym, m, E)
-    except model.ExcludedEnergy:
-        return False
-    return model.admissible(coeffs) is Admissibility.ADMISSIBLE
-
-
 def _admissible_end(cfg: FieldConfiguration, sym: SymmetryLimit, m: int, E: float, inward: float) -> float:
     """The first energy from E in the direction of ``inward`` (+1 or -1)
     that is admissible in floating point; E when it is.  The exact edges
@@ -194,7 +183,7 @@ def _admissible_end(cfg: FieldConfiguration, sym: SymmetryLimit, m: int, E: floa
     # mu = E -+ M rounds on the scale of |E| + M
     x, gap = E, math.ulp(abs(E) + cfg.M)
     for _ in range(64):
-        if _is_admissible(cfg, sym, m, x):
+        if model.admissible(model.reduced_coefficients(cfg, sym, m, x)) is Admissibility.ADMISSIBLE:
             return x
         x = E + inward * gap
         gap *= 2.0
@@ -374,8 +363,9 @@ def find_states(
 
 
 def log_norm_squared(n: int, alpha: float, p_tilde: float) -> float:
-    """log N^2 of the normalized radial profile,
-    N^2 = 2 p~^(alpha+1) n! / Gamma(n + alpha + 1)."""
+    """log N^2 of the normalized radial profile, integral g^2 dr = 1:
+    N^2 = 2 p~^(alpha+1) n! / Gamma(n + alpha + 1), from u = p~ r^2 turning
+    the norm integral into the Laguerre orthogonality integral."""
     return (
         math.log(2.0)
         + (alpha + 1.0) * math.log(p_tilde)
@@ -459,10 +449,11 @@ def sweep(
 ) -> SweepTable:
     """Track each requested state across the parameter grid.
 
-    Grid points are processed in order: from the second point on, the search
-    window is recentered on the previous root of the same state so the sweep
-    follows one branch continuously; the first point (and a fresh start after
-    a gap) takes the lowest root in the base window.
+    Grid points are processed in order.  Until a state has its first root,
+    each point takes the lowest root in the base window; from then on, the
+    root nearest the last one found, in a window of the base width centered
+    on it.  An empty cell does not reset this: the search after a gap is
+    still centered on the last root found.
     """
     values = vary.values()
     energies = []

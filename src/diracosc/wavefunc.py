@@ -19,7 +19,7 @@ import numpy as np
 
 from . import special
 from .model import FieldConfiguration
-from .spectrum import BoundState, edge_coefficients, log_norm_squared
+from .spectrum import BoundState, edge_coefficients
 
 
 @dataclass(frozen=True)
@@ -59,16 +59,6 @@ def radial_value(state: BoundState, r):
         * r ** (state.alpha + 0.5)
         * special.laguerre(state.n, state.alpha, u)
     )
-
-
-def normalization(state: BoundState) -> float:
-    """N with integral g^2 dr = 1: N^2 = 2 p~^(alpha+1) n! / Gamma(n+alpha+1).
-
-    Follows from u = p~ r^2 turning the norm integral into the Laguerre
-    orthogonality integral.  ``BoundState.norm_const`` holds the same value
-    for a solved state.
-    """
-    return math.exp(0.5 * log_norm_squared(state.n, state.alpha, state.p_tilde))
 
 
 def count_nodes(profile: RadialProfile) -> int:

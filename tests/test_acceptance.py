@@ -17,8 +17,15 @@ from diracosc.model import (
 from diracosc.nu import eigen_condition, oscillator_problem, pi_candidates, select_solution
 from diracosc.oracle import compare
 from diracosc.special import integrate_halfline, laguerre, laguerre_series, log_gamma
-from diracosc.spectrum import SearchWindow, SweepSpec, default_window, find_states, sweep
-from diracosc.wavefunc import count_nodes, normalization, ode_residual, radial_profile, radial_value
+from diracosc.spectrum import (
+    SearchWindow,
+    SweepSpec,
+    default_window,
+    find_states,
+    log_norm_squared,
+    sweep,
+)
+from diracosc.wavefunc import count_nodes, ode_residual, radial_profile, radial_value
 
 SP = SymmetryLimit.SPIN
 PS = SymmetryLimit.PSEUDOSPIN
@@ -156,7 +163,7 @@ def test_criterion_6_wavefunction_validity(regression_matrix):
         assert count_nodes(radial_profile(state)) == idx.n, (sym, idx, state.E)
 
         quad = integrate_halfline(lambda r: radial_value(state, r) ** 2, rel_tol=1e-12)
-        closed = normalization(state)
+        closed = math.exp(0.5 * log_norm_squared(idx.n, state.alpha, state.p_tilde))
         # closed form vs quadrature on the normalized profile: N is baked into
         # radial_value, so the integral itself must be 1 within 1e-10
         diff = abs(quad - 1.0)

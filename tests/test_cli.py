@@ -338,3 +338,10 @@ def test_nu_trace_inadmissible_exit_2(capsys):
     ])
     assert code == 2
     assert "p2" in err
+    # E = M is the pseudospin mass shell
+    code, _, err = run(capsys, [
+        "nu-trace", "--symmetry", "pseudospin", "--M", "1", "--a", "1", "--b", "1",
+        "--B", "0", "--flux", "0", "--m", "0", "--E", "1",
+    ])
+    assert code == 2
+    assert "mass shell" in err

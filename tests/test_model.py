@@ -5,7 +5,6 @@ import pytest
 
 from diracosc.model import (
     Admissibility,
-    ExcludedEnergy,
     FieldConfiguration,
     StateIndex,
     SymmetryLimit,
@@ -88,13 +87,12 @@ def test_reduced_coefficients_all_fields_off():
 
 def test_excluded_energy():
     cfg = FieldConfiguration(M=1, a=1, b=1, B=2, phi_AB=1)
-    with pytest.raises(ExcludedEnergy):
-        reduced_coefficients(cfg, PS, 0, 1.0)
-    with pytest.raises(ExcludedEnergy):
-        reduced_coefficients(cfg, SP, 0, -1.0)
-    # the other shell is allowed per symmetry
-    reduced_coefficients(cfg, PS, 0, -1.0)
-    reduced_coefficients(cfg, SP, 0, 1.0)
+    for sym, shell in ((PS, 1.0), (SP, -1.0)):
+        rc = reduced_coefficients(cfg, sym, 0, shell)
+        assert rc.mu == 0.0
+        assert admissible(rc) is Admissibility.EXCLUDED_ENERGY
+        # the other shell is not excluded for this symmetry
+        assert admissible(reduced_coefficients(cfg, sym, 0, -shell)) is not Admissibility.EXCLUDED_ENERGY
 
 
 def test_bracket_reconstruction_is_exact():
@@ -112,8 +110,6 @@ def test_bracket_reconstruction_is_exact():
         sym = rng.choice([PS, SP])
         m = rng.randint(-4, 4)
         E = rng.uniform(-8, 8)
-        if E == sym.forbidden_energy(cfg.M):
-            continue
         rc = reduced_coefficients(cfg, sym, m, E)
         radii = [1.3] + [rng.uniform(0.05, 6.0) for _ in range(100)]
         for r in radii:
@@ -133,8 +129,6 @@ def test_delta_quarter_identity():
         )
         sym = rng.choice([PS, SP])
         E = rng.uniform(-5, 5)
-        if E == sym.forbidden_energy(cfg.M):
-            continue
         m = rng.randint(-3, 3)
         rc = reduced_coefficients(cfg, sym, m, E)
         mu = sym.mass_factor(E, cfg.M)

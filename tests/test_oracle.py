@@ -170,13 +170,19 @@ def test_self_consistent_eigensolve_count(monkeypatch):
     assert len(calls) == 2
 
 
-def test_self_consistent_rejects_a_wide_window():
+def test_self_consistent_rejects_a_wide_window(monkeypatch):
     # the oracle confirms a root and does not search for one
     state = find_states(BARE, SP, StateIndex(0, 1), SearchWindow(1.0001, 10.0))[0]
     for window in ((state.E - 0.2, state.E + 0.2), (state.E - 2e-8, state.E + 2e-8),
                    (state.E + 5e-9, state.E - 5e-9)):
         with pytest.raises(ValueError):
             self_consistent_energy(BARE, SP, StateIndex(0, 1), GRID, window)
+    # a window that starts on the spin mass shell E = -M is rejected before
+    # any eigensolve
+    calls = _count_eigensolves(monkeypatch)
+    with pytest.raises(ValueError):
+        self_consistent_energy(BARE, SP, StateIndex(0, 1), GRID, (-1.0, -1.0 + 5e-9))
+    assert calls == []
 
 
 def test_tol_wide_bracket_costs_two_eigensolves(monkeypatch):

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -453,3 +454,33 @@ def _drawn_request(draw):
 def test_random_configurations_match_polynomial_reference(data):
     cfg, sym, idx = _drawn_request(data.draw)
     assert_matches_reference(cfg, sym, idx, default_window(cfg))
+
+
+def _energies(cfg, sym, idx):
+    return [state.E for state in find_states(cfg, sym, idx, default_window(cfg))]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_field_reversal_leaves_every_energy_bit_identical(data):
+    # (B, phi_AB, m) -> (-B, -phi_AB, -m) negates m_eff and the factors of
+    # both cross-term products, so (p2, q, delta) and every root are the
+    # same floats
+    cfg, sym, idx = _drawn_request(data.draw)
+    mirror = replace(cfg, B=-cfg.B, phi_AB=-cfg.phi_AB)
+    assert _energies(mirror, sym, StateIndex(idx.n, -idx.m)) == _energies(cfg, sym, idx)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_flux_quantum_with_m_plus_one_leaves_energies_unchanged(data):
+    # at B = 0, phi_AB -> phi_AB + 2 pi c / e with m -> m + 1 keeps m_eff up
+    # to rounding, and there is no cross term
+    cfg, sym, idx = _drawn_request(data.draw)
+    cfg = replace(cfg, B=0.0)
+    shifted = replace(cfg, phi_AB=cfg.phi_AB + 2.0 * math.pi * cfg.c / cfg.e)
+    energies = _energies(cfg, sym, idx)
+    moved = _energies(shifted, sym, StateIndex(idx.n, idx.m + 1))
+    assert len(moved) == len(energies)
+    for E, E_moved in zip(energies, moved):
+        assert abs(E_moved - E) <= 1e-14 * abs(E)

@@ -6,12 +6,11 @@ import pytest
 
 from diracosc.model import FieldConfiguration, StateIndex, SymmetryLimit, reduced_coefficients
 from diracosc.special import integrate_halfline
-from diracosc.spectrum import BoundState, SearchWindow, find_states
+from diracosc.spectrum import BoundState, SearchWindow, find_states, log_norm_squared
 from diracosc.wavefunc import (
     RadialProfile,
     count_nodes,
     default_r_max,
-    normalization,
     ode_residual,
     peak_radius,
     radial_profile,
@@ -86,11 +85,16 @@ def test_count_nodes_on_synthetic_sine():
     assert count_nodes(prof) == 2
 
 
+def closed_form_norm(state: BoundState) -> float:
+    """N from the closed form N^2 = 2 p~^(alpha+1) n! / Gamma(n + alpha + 1)."""
+    return math.exp(0.5 * log_norm_squared(state.n, state.alpha, state.p_tilde))
+
+
 def test_normalization_closed_form_values():
     # n=0, alpha=1, p~=1: integral of 2 r^3 exp(-r^2) is 1, so N = sqrt(2)
-    assert abs(normalization(synthetic_state(1.0, 1.0)) - math.sqrt(2.0)) < 1e-14
+    assert abs(closed_form_norm(synthetic_state(1.0, 1.0)) - math.sqrt(2.0)) < 1e-14
     # n=0, alpha=0, p~=1: N^2 = 2/Gamma(1) = 2
-    assert abs(normalization(synthetic_state(1.0, 0.0)) ** 2 - 2.0) < 1e-13
+    assert abs(closed_form_norm(synthetic_state(1.0, 0.0)) ** 2 - 2.0) < 1e-13
 
 
 def test_normalization_matches_quadrature():
@@ -102,7 +106,7 @@ def test_normalization_matches_quadrature():
 
 def test_norm_const_equals_normalization(regression_matrix):
     for _, _, _, state in regression_matrix:
-        assert abs(state.norm_const - normalization(state)) <= 1e-12 * state.norm_const
+        assert abs(state.norm_const - closed_form_norm(state)) <= 1e-12 * state.norm_const
 
 
 def test_ode_residual_small_for_true_states():
@@ -150,6 +154,6 @@ def test_norm_quadrature_of_weakly_confined_state():
     # after the half-line map; a quadrature started from one 3-point panel
     # returned 3e-12 here
     state = synthetic_state(2.8228100508637435e-05, 2.587160569959473, n=4)
-    state = replace(state, norm_const=normalization(state))
+    state = replace(state, norm_const=closed_form_norm(state))
     total = integrate_halfline(lambda r: radial_value(state, r) ** 2)
     assert abs(total - 1.0) <= 1e-9
