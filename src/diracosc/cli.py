@@ -520,6 +520,11 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        # finite inputs whose arithmetic leaves float range
+        reason = exc.args[-1] if exc.args else type(exc).__name__
+        print(f"invalid parameters: {reason}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

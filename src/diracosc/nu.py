@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import sqrt
-from typing import NamedTuple
 
 _DISC_TOL = 1e-10
 
@@ -38,10 +37,6 @@ class NoRealK(ValueError):
 
 class NoBoundBranch(ValueError):
     """No candidate has tau' < 0."""
-
-
-class NotLaguerreClass(ValueError):
-    """sigma(s) is not of the form c1 * s."""
 
 
 def _pad(coeffs, length: int) -> tuple[float, ...]:
@@ -80,13 +75,6 @@ class NUSolution:
     @property
     def tau_slope(self) -> float:
         return self.tau[1]
-
-
-class LaguerreParts(NamedTuple):
-    weight_rate: float
-    weight_power: float
-    phi_rate: float
-    phi_power: float
 
 
 def _k_roots(ka: float, kb: float, kc: float) -> list[float]:
@@ -181,30 +169,6 @@ def eigen_condition(solution: NUSolution, problem: HypergeometricProblem, n: int
     sigma_dd = 2.0 * problem.sigma[2]
     lam_n = -n * solution.tau_slope - 0.5 * n * (n - 1) * sigma_dd
     return solution.lam - lam_n
-
-
-def laguerre_class_parts(
-    solution: NUSolution, problem: HypergeometricProblem
-) -> LaguerreParts:
-    """Closed-form weight and prefactor data for sigma(s) = c1 s.
-
-    Solving (sigma rho)' = tau rho gives rho = s^kappa exp(-mu s) with
-    kappa = (tau0 - c1)/c1 and mu = -tau1/c1; phi'/phi = pi/sigma gives
-    phi = s^kappa' exp(-mu' s) with kappa' = pi0/c1, mu' = -pi1/c1.
-    """
-    s0, s1, s2 = problem.sigma
-    scale = abs(s0) + abs(s1) + abs(s2)
-    if s1 == 0.0 or abs(s0) > _DISC_TOL * scale or abs(s2) > _DISC_TOL * scale:
-        raise NotLaguerreClass(f"sigma = {problem.sigma} is not of the form c1*s")
-    c1 = s1
-    t0, t1 = solution.tau
-    p0, p1 = solution.pi
-    return LaguerreParts(
-        weight_rate=-t1 / c1,
-        weight_power=(t0 - c1) / c1,
-        phi_rate=-p1 / c1,
-        phi_power=p0 / c1,
-    )
 
 
 def oscillator_problem(p2: float, q: float, delta: float) -> HypergeometricProblem:

@@ -227,8 +227,9 @@ def compare(
 
     Each root E gets one bracket E -+ 1e-8 / 2 (narrower next to another
     root or to the state's origin) and two eigensolve pairs: a sign change
-    of G there confirms it, and no sign change leaves oracle_E None.  No threshold is enforced here, this is reporting only.
-    grid=None means GRID.  Of each analytic state only E and origin are read.
+    of G there confirms it, and no sign change leaves oracle_E None.  No
+    threshold is enforced here, this is reporting only.  grid=None means
+    GRID.  Of each analytic state only E and origin are read.
     """
     grid = GRID if grid is None else grid
     analytic = find_states(cfg, sym, idx, window)

@@ -1,9 +1,9 @@
-"""Self-contained special-function kernel.
+"""Special-function kernel on the standard library alone.
 
-Generalized Laguerre polynomials, log-gamma and adaptive quadrature on the
-half line.  Deliberately free of third-party numerics so the normalization
-and orthogonality checks elsewhere in the package do not share a code path
-with the eigensolver stack.
+Generalized Laguerre polynomials, log-gamma (``math.lgamma`` with a domain
+check) and adaptive quadrature on the half line.  Free of numpy and scipy,
+so the normalization and orthogonality checks elsewhere in the package do
+not share a code path with the eigensolver stack.
 """
 
 from __future__ import annotations
@@ -66,37 +66,11 @@ def laguerre_series(n: int, alpha: float, x: float) -> float:
     return float(total)
 
 
-# Lanczos approximation, g = 7, 9 terms (Godfrey's tabulation of the
-# classical coefficients; see Numerical Recipes 3rd ed., sec. 6.1 for the
-# method).  Relative error below 1e-13 on the positive real axis.
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-
-
 def log_gamma(x: float) -> float:
     """Natural log of the gamma function for x > 0."""
     if x <= 0.0:
         raise ValueError(f"log_gamma requires x > 0, got {x}")
-    if x < 0.5:
-        # reflection: Gamma(x) Gamma(1-x) = pi / sin(pi x)
-        return math.log(math.pi / math.sin(math.pi * x)) - log_gamma(1.0 - x)
-    z = x - 1.0
-    acc = _LANCZOS_COEF[0]
-    for i in range(1, len(_LANCZOS_COEF)):
-        acc += _LANCZOS_COEF[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return _HALF_LOG_TWO_PI + (z + 0.5) * math.log(t) - t + math.log(acc)
+    return math.lgamma(x)
 
 
 def integrate_halfline(f, rel_tol: float = 1e-10) -> float:

@@ -140,7 +140,11 @@ def _condition_roots(cfg: FieldConfiguration, sym: SymmetryLimit, idx: StateInde
     for k, origin in enumerate(origins):
         P = _condition_polynomial(*model.coefficient_polynomials(cfg, sym, idx.m, origin), idx.n)
         companion[k, 0, :] = -P[-2::-1] / P[-1]
-    below, above = (x + o for x, o in zip(np.linalg.eigvals(companion), origins))
+    try:
+        eigvals = np.linalg.eigvals(companion)
+    except np.linalg.LinAlgError:
+        raise OverflowError("the coefficients of P(E) overflow float range") from None
+    below, above = (x + o for x, o in zip(eigvals, origins))
     # an overlap of one candidate spread around E = 0 loses no root there
     return np.concatenate((below[below.real <= _CANDIDATE_SPREAD], above[above.real >= -_CANDIDATE_SPREAD]))
 

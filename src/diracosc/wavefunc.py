@@ -46,6 +46,8 @@ def radial_profile(state: BoundState, r_max: float | None = None, samples: int =
         r_max = default_r_max(state)
     if not 0.0 < r_max < math.inf:
         raise ValueError(f"r_max must be finite and > 0, got {r_max}")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     r = np.linspace(r_max / samples, r_max, samples)
     return RadialProfile(state=state, r=r, g=radial_value(state, r))
 

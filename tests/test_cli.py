@@ -91,6 +91,32 @@ def test_solve_non_finite_parameter_exit_2(capsys, flag, value):
     assert f"invalid {flag}: must be finite" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", *BARE_SPIN, "--n", "0", "--m", "0", "--emax", "1e160"],
+    ["solve", *BARE_SPIN, "--n", "0", "--m", "0", "--M", "1e77"],
+    ["solve", *BARE_SPIN, "--n", "0", "--m", "0", "--B", "1e100"],
+    ["solve", *BARE_SPIN, "--n", "0", "--m", "0", "--a", "1e300"],
+    ["solve", *BARE_SPIN, "--n", "0", "--m", "0", "--B", "1e200"],
+    ["solve", *BARE_SPIN, "--n", "0", "--m", "0", "--flux", "1e300"],
+    ["solve", *BARE_SPIN, "--n", "0", "--m", "0", "--B", "0.5", "--c", "1e-200"],
+    ["sweep", *BARE_SPIN, "--M", "1e77", "--vary", "B", "--from", "0", "--to", "1",
+     "--steps", "3", "--states", "0:0", "--out", "unused.csv"],
+    ["wavefunction", *BARE_SPIN, "--M", "1e77", "--n", "0", "--m", "0", "--rmax", "5",
+     "--samples", "10", "--out", "unused.csv"],
+    ["nu-trace", *BARE_SPIN, "--m", "0", "--E", "1e160"],
+], ids=lambda argv: " ".join([argv[0], *argv[-2:]]))
+def test_finite_values_past_float_range_exit_2(capsys, tmp_path, monkeypatch, argv):
+    # finite inputs whose arithmetic overflows or divides by zero are invalid
+    # parameters (exit 2), not "no state" (exit 1) and not a traceback
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("invalid parameters: ")
+    assert not (tmp_path / "unused.csv").exists()
+
+
 def test_solve_missing_flag_exit_2(capsys):
     code, _, err = run(capsys, ["solve", "--symmetry", "spin", "--a", "1", "--b", "0",
                                 "--B", "0", "--flux", "0", "--n", "0", "--m", "0"])

@@ -9,10 +9,7 @@ from diracosc.nu import (
     HypergeometricProblem,
     NoBoundBranch,
     NoRealK,
-    NotLaguerreClass,
-    NUSolution,
     eigen_condition,
-    laguerre_class_parts,
     oscillator_problem,
     pi_candidates,
     select_solution,
@@ -110,41 +107,6 @@ def test_residual_at_zero_is_lambda():
         assert eigen_condition(sel, prob, 0) == sel.lam
 
 
-def test_laguerre_parts_worked_instance():
-    prob = oscillator_problem(3.0, -3.0, 2.0)
-    sel = select_solution(pi_candidates(prob))
-    parts = laguerre_class_parts(sel, prob)
-    assert close(parts.weight_power, 1.5)       # sqrt(delta + 1/4)
-    assert close(parts.weight_rate, SQRT3)      # p~
-    assert close(parts.phi_power, 1.0)          # (1 + sqrt(4 delta + 1))/4
-    assert close(parts.phi_rate, SQRT3 / 2.0)
-
-
-def test_laguerre_parts_unit_instance():
-    prob = oscillator_problem(1.0, 0.0, 0.0)
-    sel = select_solution(pi_candidates(prob))
-    parts = laguerre_class_parts(sel, prob)
-    assert close(parts.weight_power, 0.5)
-    assert close(parts.weight_rate, 1.0)
-
-
-def test_laguerre_parts_constant_pi():
-    # pi = 1/2, sigma = 2s: phi = s^(1/4) with zero rate
-    prob = HypergeometricProblem((0.0, 2.0), (1.0,), (0.0,))
-    sol = NUSolution(pi=(0.5, 0.0), k=0.0, tau=(2.0, 0.0), lam=0.0, branch_id="manual")
-    parts = laguerre_class_parts(sol, prob)
-    assert close(parts.phi_power, 0.25)
-    assert parts.phi_rate == 0.0
-
-
-def test_laguerre_parts_rejects_other_classes():
-    sol = NUSolution(pi=(0.0, -1.0), k=0.0, tau=(1.0, -2.0), lam=-1.0, branch_id="x")
-    with pytest.raises(NotLaguerreClass):
-        laguerre_class_parts(sol, HypergeometricProblem((0.0, 1.0, -1.0), (1.0,), (0.0,)))
-    with pytest.raises(NotLaguerreClass):
-        laguerre_class_parts(sol, HypergeometricProblem((1.0, 2.0), (1.0,), (0.0,)))
-
-
 def test_pi_is_exact_radicand_root():
     # pi^2 - pi (sigma' - tau_t) + (sigma_t - k sigma) = 0 as a polynomial
     rng = random.Random(19)
@@ -199,21 +161,17 @@ def test_radicand_discriminant_vanishes_at_solved_k():
             assert abs(disc) <= 1e-10 * (B * B + abs(4.0 * A * C) + 1.0), (prob, c.k)
 
 
-def test_weight_function_solves_pearson_equation():
-    # (sigma rho)' = tau rho, checked as sigma' + sigma (kappa/s - mu) = tau
+def test_bound_branch_tau_is_the_laguerre_weight():
+    # (sigma rho)' = tau rho with sigma = 2s and rho = s^alpha exp(-p~ s), the
+    # weight of L_n^alpha(p~ s), gives tau = (2 + 2 alpha, -2 p~): the bound
+    # branch must carry wavefunc's alpha = sqrt(delta + 1/4) and p~ = sqrt(p2)
     rng = random.Random(31)
     for _ in range(10):
-        prob = oscillator_problem(
-            rng.uniform(0.2, 9.0), rng.uniform(-15, 15), rng.uniform(-0.2, 10.0)
-        )
+        p2, delta = rng.uniform(0.2, 9.0), rng.uniform(-0.2, 10.0)
+        prob = oscillator_problem(p2, rng.uniform(-15, 15), delta)
         sel = select_solution(pi_candidates(prob))
-        parts = laguerre_class_parts(sel, prob)
-        kappa, mu = parts.weight_power, parts.weight_rate
-        for i in range(50):
-            s = 10.0 * (i + 1) / 50.0
-            lhs = 2.0 + 2.0 * s * (kappa / s - mu)
-            rhs = sel.tau[0] + sel.tau[1] * s
-            assert abs(lhs - rhs) <= 1e-10 * (1.0 + abs(rhs)), (prob, s)
+        assert close(sel.tau[0], 2.0 + 2.0 * math.sqrt(delta + 0.25)), prob
+        assert close(sel.tau[1], -2.0 * math.sqrt(p2)), prob
 
 
 def test_family_eigencondition_matches_closed_form():
