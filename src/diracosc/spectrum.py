@@ -67,6 +67,8 @@ class SearchWindow:
     e_max: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.e_min) and math.isfinite(self.e_max)):
+            raise ValueError(f"e_min and e_max must be finite, got [{self.e_min}, {self.e_max}]")
         if not self.e_min < self.e_max:
             raise ValueError(f"need e_min < e_max, got [{self.e_min}, {self.e_max}]")
 

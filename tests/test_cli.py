@@ -117,6 +117,25 @@ def test_finite_values_past_float_range_exit_2(capsys, tmp_path, monkeypatch, ar
     assert not (tmp_path / "unused.csv").exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_solve_infinite_window_edge_exit_2(tmp_path, capsys, source):
+    # an infinite edge is an invalid window, not an empty one: this request
+    # has two states in [-30, 30], at +-sqrt(2)
+    argv = ["solve", "--symmetry", "spin", "--M", "1", "--a", "0", "--b", "0", "--B", "1",
+            "--flux", "0", "--n", "0", "--m", "0", "--emin", "-30"]
+    if source == "flag":
+        argv += ["--emax", "inf"]
+    else:
+        path = tmp_path / "run.json"
+        path.write_text('{"emax": "inf"}')
+        argv += ["--config", str(path)]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("invalid window flags: ")
+
+
 def test_solve_missing_flag_exit_2(capsys):
     code, _, err = run(capsys, ["solve", "--symmetry", "spin", "--a", "1", "--b", "0",
                                 "--B", "0", "--flux", "0", "--n", "0", "--m", "0"])

@@ -131,3 +131,18 @@ def test_integrate_halfline_gaussian_moments():
 def test_integrate_halfline_no_convergence():
     with pytest.raises(NoConvergence):
         integrate_halfline(lambda x: 1.0 / (1.0 + x), 1e-10)
+
+
+def test_integrate_halfline_does_not_call_f_far_out():
+    # exp(-x^2) underflows to 0 from x ~ 27; nodes past that are not needed
+    def gaussian(x):
+        if x >= 50.0:
+            raise AssertionError(f"f called at x = {x}")
+        return math.exp(-x * x)
+
+    assert abs(integrate_halfline(gaussian) - 0.5 * math.sqrt(math.pi)) <= 1e-14
+
+
+def test_integrate_halfline_nan_integrand_raises():
+    with pytest.raises(ArithmeticError):
+        integrate_halfline(lambda x: math.nan)

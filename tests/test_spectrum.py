@@ -310,6 +310,9 @@ def test_edge_offsets_match_a_60_digit_root(n):
 def test_window_validation():
     with pytest.raises(ValueError):
         SearchWindow(2.0, 1.0)
+    for edges in ((-30.0, math.inf), (-math.inf, 30.0), (math.nan, 1.0)):
+        with pytest.raises(ValueError):
+            SearchWindow(*edges)
     with pytest.raises(ValueError):
         SweepSpec("a", 0.0, 1.0, 5)
     with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ import pytest
 
 from diracosc.model import FieldConfiguration, StateIndex, SymmetryLimit, reduced_coefficients
 from diracosc.special import integrate_halfline
-from diracosc.spectrum import BoundState, SearchWindow, find_states, log_norm_squared
+from diracosc.spectrum import BoundState, SearchWindow, default_window, find_states, log_norm_squared
 from diracosc.wavefunc import (
     RadialProfile,
     count_nodes,
@@ -166,10 +166,33 @@ def test_radial_profile_validation():
 
 
 def test_norm_quadrature_of_weakly_confined_state():
-    # p~ = 2.8e-5, alpha = 2.6: the mass of g^2 sits at r ~ 400, t > 0.997
-    # after the half-line map; a quadrature started from one 3-point panel
-    # returned 3e-12 here
+    # p~ = 2.8e-5, alpha = 2.6: the mass of g^2 sits at r ~ 400, near t = 2
+    # of the quadrature's map r = exp(pi/2 sinh t)
     state = synthetic_state(2.8228100508637435e-05, 2.587160569959473, n=4)
     state = replace(state, norm_const=closed_form_norm(state))
     total = integrate_halfline(lambda r: radial_value(state, r) ** 2)
     assert abs(total - 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize("sym, n, m, cfg, E", [
+    (SP, 1, 1, FieldConfiguration(M=0.9768831179468864, a=0.3174012585569733, b=0.6652081292340295,
+                                  B=-2.3894148365259205, phi_AB=1.5692313955190107),
+     5.461979057507787),
+    (SP, 2, -1, FieldConfiguration(M=0.528750836296305, a=0.01844047428288659, b=-0.2950909945152977,
+                                   B=-0.17451168894634594, phi_AB=-1.7001832326644666),
+     -0.7195989335305659),
+    (PS, 3, 2, FieldConfiguration(M=1.947445348884217, a=0.00530389342596664, b=0.9358207752016992,
+                                  B=0.008150167886078252, phi_AB=1.5114648965951867),
+     1.9458798687165784),
+    (SP, 4, 1, FieldConfiguration(M=1.4569401629130794, a=0.025183882953906042, b=0.19566745653383877,
+                                  B=0.2065625270147906, phi_AB=1.3486910388771705),
+     3.605999459164113),
+], ids=["spin-1-1", "spin-2--1", "pseudospin-3-2", "spin-4-1"])
+def test_norm_quadrature_of_random_spectra_states(sym, n, m, cfg, E):
+    # random_spectra draws, three of them weakly confined (a < 0.03): every
+    # state normalizes to 1e-12 at the default rel_tol
+    states = find_states(cfg, sym, StateIndex(n, m), default_window(cfg))
+    assert any(abs(s.E - E) <= 1e-9 for s in states), [s.E for s in states]
+    for state in states:
+        total = integrate_halfline(lambda r: radial_value(state, r) ** 2)
+        assert abs(total - 1.0) <= 1e-12, state.E
