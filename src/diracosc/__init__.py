@@ -1,6 +1,8 @@
 """Bound states of a 2D Dirac particle in an anharmonic oscillator under
 uniform magnetic and Aharonov-Bohm flux fields."""
 
+import importlib
+
 from .model import (
     Admissibility,
     FieldConfiguration,
@@ -11,7 +13,6 @@ from .model import (
     effective_angular,
     reduced_coefficients,
 )
-from .oracle import OracleComparison, RadialGrid, compare, fd_eigenvalue, self_consistent_energy
 from .spectrum import (
     BoundState,
     InadmissibleEnergy,
@@ -23,7 +24,20 @@ from .spectrum import (
     find_states,
     sweep,
 )
-from .wavefunc import RadialProfile, count_nodes, ode_residual, radial_profile
+
+# oracle and wavefunc need numpy (and the oracle scipy), which would be most of
+# the import time; they load on first use of one of their names (PEP 562)
+_LAZY = {
+    "OracleComparison": "oracle",
+    "RadialGrid": "oracle",
+    "compare": "oracle",
+    "fd_eigenvalue": "oracle",
+    "self_consistent_energy": "oracle",
+    "RadialProfile": "wavefunc",
+    "count_nodes": "wavefunc",
+    "ode_residual": "wavefunc",
+    "radial_profile": "wavefunc",
+}
 
 __all__ = [
     "Admissibility",
@@ -55,3 +69,15 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _LAZY.values():
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _LAZY:
+        return getattr(__getattr__(_LAZY[name]), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY, *_LAZY.values()})

@@ -15,10 +15,11 @@ import json
 import math
 import sys
 
-from . import model, nu, oracle, spectrum
+# oracle and wavefunc need numpy and scipy; the commands that use them import
+# them, so that the others start without either
+from . import model, nu, spectrum
 from .model import FieldConfiguration, StateIndex, SymmetryLimit
 from .spectrum import SearchWindow
-from .wavefunc import radial_profile
 
 _FIELD_KEYS = ("M", "a", "b", "B", "flux", "e", "c")
 
@@ -147,9 +148,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
     header = _SOLVE_COLUMNS + (",oracle_E,oracle_diff" if args.verify else "")
     print(header)
-    # one report per state, in the same order; none when the oracle fails
-    reports: list[oracle.OracleComparison] = []
+    # one oracle.OracleComparison per state, in the same order; none when the
+    # oracle fails
+    reports = []
     if args.verify and states:
+        from . import oracle
+
         try:
             reports = oracle.compare(cfg, sym, idx, None, window)
         except (oracle.GridTooCoarse, ValueError) as exc:
@@ -362,6 +366,8 @@ def cmd_wavefunction(args: argparse.Namespace) -> int:
     if not states:
         print("no bound state in the search window", file=sys.stderr)
         return 1
+    from .wavefunc import radial_profile
+
     prof = radial_profile(states[0], r_max=args.rmax, samples=args.samples)
     lines = [
         "# radial normalization: integral g^2 dr = 1 "

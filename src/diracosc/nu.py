@@ -22,7 +22,7 @@ by the coefficient magnitudes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from math import isfinite, sqrt
 
 _DISC_TOL = 1e-10
 
@@ -77,16 +77,23 @@ class NUSolution:
         return self.tau[1]
 
 
-def _k_roots(ka: float, kb: float, kc: float) -> list[float]:
-    scale = abs(ka) + abs(kb) + abs(kc)
-    if abs(ka) <= _DISC_TOL * scale:
-        if abs(kb) <= _DISC_TOL * scale:
-            if abs(kc) <= _DISC_TOL * scale:
+def _k_roots(ka: float, kb: float, kc: float, sizes: tuple[float, float, float]) -> list[float]:
+    """Real roots of ka k^2 + kb k + kc.  Each coefficient is zero to rounding
+    against the size of its own terms (``sizes``), not against the others: a
+    leading coefficient of 4 beside kc ~ q^2 is still a genuine k^2 term."""
+    if not all(isfinite(c) for c in (ka, kb, kc)):
+        raise OverflowError("k-condition coefficients leave the float range")
+    a_zero, b_zero, c_zero = (abs(c) <= _DISC_TOL * size for c, size in zip((ka, kb, kc), sizes))
+    if a_zero:
+        if b_zero:
+            if c_zero:
                 # radicand is a perfect square for every k; pick the canonical one
                 return [0.0]
             raise NoRealK("zero-discriminant condition is unsatisfiable")
         return [-kc / kb]
     disc = kb * kb - 4.0 * ka * kc
+    if not isfinite(disc):
+        raise OverflowError("k-discriminant leaves the float range")
     if disc < -_DISC_TOL * (kb * kb + abs(4.0 * ka * kc) + 1e-300):
         raise NoRealK(f"k-discriminant is negative: {disc}")
     root = sqrt(max(disc, 0.0))
@@ -118,9 +125,14 @@ def pi_candidates(problem: HypergeometricProblem) -> list[NUSolution]:
     ka = s1 * s1 - 4.0 * s0 * s2
     kb = 2.0 * b0 * s1 - 4.0 * (a0 * s0 + c0 * s2)
     kc = b0 * b0 - 4.0 * a0 * c0
+    sizes = (
+        s1 * s1 + abs(4.0 * s0 * s2),
+        abs(2.0 * b0 * s1) + 4.0 * (abs(a0 * s0) + abs(c0 * s2)),
+        b0 * b0 + abs(4.0 * a0 * c0),
+    )
 
     candidates: list[NUSolution] = []
-    for i, k in enumerate(_k_roots(ka, kb, kc)):
+    for i, k in enumerate(_k_roots(ka, kb, kc, sizes)):
         A = a0 + k * s2
         B = b0 + k * s1
         C = c0 + k * s0

@@ -93,8 +93,8 @@ def sturm_count(diag: np.ndarray, off2: np.ndarray, x: float) -> int:
 
 
 def _single_grid_eigenvalue(D: float, r_max: float, cells: int, n: int):
-    # imported on first use: scipy.linalg dominates the package's import time,
-    # and only the oracle needs it
+    # imported at the first solve, not with the module: scipy.linalg takes
+    # longer to import than the rest of the package, and only this needs it
     from scipy.linalg import eigvalsh_tridiagonal
 
     k = 2.0 * math.sqrt(D + 0.25) + 1.0

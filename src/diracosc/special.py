@@ -9,7 +9,6 @@ in the package do not share a code path with the eigensolver stack.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 
 class NoConvergence(ArithmeticError):
@@ -49,6 +48,8 @@ def laguerre_series(n: int, alpha: float, x: float) -> float:
     evaluated without rounding (the alternating terms cancel catastrophically
     in plain floating point for moderate x).
     """
+    from fractions import Fraction  # only this test reference needs it
+
     if n < 0:
         raise ValueError(f"polynomial degree must be >= 0, got {n}")
     if alpha <= -1.0:

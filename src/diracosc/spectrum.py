@@ -26,11 +26,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import model, special
 from .model import Admissibility, FieldConfiguration, StateIndex, SymmetryLimit
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # a root of P further than this (relative) from the real axis is complex
 _IMAG_TOL = 1e-3
@@ -119,6 +121,8 @@ def _condition(p2: float, d: float, q: float, n: int) -> float:
 def _condition_polynomial(p2, d, q, n: int) -> np.ndarray:
     """Ascending coefficients of P = (q^2 - 4 p2 (K^2 + d))^2 - 64 K^2 p2^2 d
     from the coefficient polynomials of ``model.coefficient_polynomials``."""
+    import numpy as np
+
     K2 = (2.0 * n + 1.0) ** 2
     inner = np.convolve(q, q)
     inner[:3] -= 4.0 * np.convolve(p2, (K2 + d[0], d[1]))
@@ -136,6 +140,10 @@ def _condition_roots(cfg: FieldConfiguration, sym: SymmetryLimit, idx: StateInde
     below E = 0 come from P expanded about -M and the rest from P expanded
     about +M: two companion matrices, one eigenvalue call.
     """
+    # numpy is imported here, not at module level, so that ``import diracosc``
+    # stays free of it; both numpy functions go with the degree-8 polynomial
+    import numpy as np
+
     companion = np.zeros((2, 8, 8))
     companion[:, 1:, :-1] = np.eye(7)
     origins = (-cfg.M, cfg.M)

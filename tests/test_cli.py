@@ -14,6 +14,8 @@ from diracosc.oracle import RadialGrid
 from diracosc.spectrum import SweepSpec, default_window, sweep
 
 BARE_SPIN = ["--symmetry", "spin", "--M", "1", "--a", "1", "--b", "0", "--B", "0", "--flux", "0"]
+PSEUDO_TRACE = ["nu-trace", "--symmetry", "pseudospin", "--M", "1", "--a", "1", "--b", "1",
+                "--B", "2", "--flux", "3", "--m", "1"]
 
 
 def run(capsys, argv):
@@ -104,6 +106,7 @@ def test_solve_non_finite_parameter_exit_2(capsys, flag, value):
     ["wavefunction", *BARE_SPIN, "--M", "1e77", "--n", "0", "--m", "0", "--rmax", "5",
      "--samples", "10", "--out", "unused.csv"],
     ["nu-trace", *BARE_SPIN, "--m", "0", "--E", "1e160"],
+    [*PSEUDO_TRACE, "--E", "1e154"],
 ], ids=lambda argv: " ".join([argv[0], *argv[-2:]]))
 def test_finite_values_past_float_range_exit_2(capsys, tmp_path, monkeypatch, argv):
     # finite inputs whose arithmetic overflows or divides by zero are invalid
@@ -374,6 +377,20 @@ def test_nu_trace_marks_eigenstate(capsys):
     marked = [ln for ln in out.splitlines() if "<-- eigenstate" in ln]
     assert len(marked) == 1
     assert marked[0].strip().startswith("1")
+
+
+def test_nu_trace_at_a_large_probe_energy(capsys):
+    # |q| ~ E^2 = 1e12 dwarfs the k^2 coefficient 4 of the zero-discriminant
+    # condition; the table still comes from the bound branch, where
+    # lambda - lambda_n = -F_n(E) / 2 on every row
+    code, out, err = run(capsys, [*PSEUDO_TRACE, "--E", "1e6"])
+    assert code == 0
+    assert err == ""
+    rows = [line.split() for line in out.splitlines()[-6:]]
+    assert [row[0] for row in rows] == ["0", "1", "2", "3", "4", "5"]
+    for row in rows:
+        residual, f_n = float(row[2]), float(row[3])
+        assert abs(residual + 0.5 * f_n) <= 1e-9 * abs(f_n), row
 
 
 def test_nu_trace_inadmissible_exit_2(capsys):

@@ -204,3 +204,28 @@ def test_bound_branch_of_weakly_confined_state():
     sel = select_solution(pi_candidates(prob))
     assert close(sel.pi[1], -math.sqrt(rc.p2), 1e-9)
     assert abs(eigen_condition(sel, prob, 3)) <= 1e-9 * (1.0 + abs(sel.lam))
+
+
+@pytest.mark.parametrize("E", [1e3, 1e6])
+def test_bound_branch_at_a_large_probe_energy(E):
+    # the k^2 coefficient of the zero-discriminant condition is exactly 4 for
+    # this family; beside kc ~ q^2 it is still a genuine k^2 term, so the bound
+    # branch exists.  Its discriminant 64 p2 d is what is left of ~16 q^2, so k
+    # and the residual are exact to about ulp(q^2) / sqrt(p2 d)
+    cfg = FieldConfiguration(M=1.0, a=1.0, b=1.0, B=2.0, phi_AB=3.0)
+    rc = reduced_coefficients(cfg, SymmetryLimit.PSEUDOSPIN, 1, E)
+    prob = oscillator_problem(rc.p2, rc.q, rc.delta)
+    sel = select_solution(pi_candidates(prob))
+    p_tilde = math.sqrt(rc.p2)
+    assert close(sel.tau[1], -2.0 * p_tilde)
+    rounding = math.ulp(rc.q * rc.q) / math.sqrt(rc.p2 * (rc.delta + 0.25))
+    for n in range(6):
+        terms = p_tilde * (4.0 * n + 2.0 + math.sqrt(4.0 * rc.delta + 1.0))
+        engine = -2.0 * eigen_condition(sel, prob, n)
+        assert abs(engine - (terms + rc.q)) <= 1e-12 * (terms + abs(rc.q)) + rounding, n
+
+
+def test_k_condition_past_float_range_raises_overflow():
+    # kc ~ q^2 is not finite: an arithmetic error, not "no real k"
+    with pytest.raises(OverflowError):
+        pi_candidates(oscillator_problem(1.0, -1e160, 0.0))
