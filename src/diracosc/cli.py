@@ -105,9 +105,11 @@ def _symmetry(args: argparse.Namespace) -> SymmetryLimit:
 
 
 def _window(args: argparse.Namespace, cfg: FieldConfiguration) -> SearchWindow:
-    default = spectrum.default_window(cfg)
-    e_min = _merged(args, "emin", float, default=default.e_min)
-    e_max = _merged(args, "emax", float, default=default.e_max)
+    e_min, e_max = _merged(args, "emin", float), _merged(args, "emax", float)
+    if e_min is None or e_max is None:
+        default = spectrum.default_window(cfg)
+        e_min = default.e_min if e_min is None else e_min
+        e_max = default.e_max if e_max is None else e_max
     try:
         return SearchWindow(e_min, e_max)
     except ValueError as exc:

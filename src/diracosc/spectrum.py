@@ -5,47 +5,34 @@ For a state (symmetry, n, m) the bound-state energies are the zeros of
     F(E) = 2 sqrt(p2) (K + sqrt(d)) + q,   K = 2n + 1,  d = delta + 1/4,
 
 with (p2, q, delta) the energy-dependent coefficients from ``model``.  F is
-defined only where the coefficients are admissible.  p2 and d are linear in
-E and q is quadratic, so squaring F = 0 twice gives the degree-8 polynomial
-
-    P(E) = (q^2 - 4 p2 (K^2 + d))^2 - 64 K^2 p2^2 d
-
-whose real roots include every zero of F.  The solver takes the near-real
-roots of P as candidates, drops those where a zero of F is impossible (it
-needs q < 0 and q^2 - 4 p2 (K^2 + d) >= 0), and polishes each survivor on F
-itself by Brent's method, inside the admissible interval, whose edges are
-exact because p2 and d are linear.  A root is accepted only where F changes
-sign, or touches zero at rounding level, so the spurious roots that
-squaring adds are never reported.  Both positive- and negative-energy roots
-are reported, down to a few ulps from an edge.  There E resolves p2 only to
-ulp(E) / (E - edge), so each root is solved again in its offset from the
-nearest edge or mass shell, and the state's coefficients come from that.
+defined only where the coefficients are admissible: p2 > 0 and d >= 0, one
+interval since both are linear in E, less the mass shell.  There sqrt(p2)
+and sqrt(p2 d) are concave and q carries -E^2, so F is strictly concave and
+has at most two roots, one on each side of its maximum.  The solver
+evaluates F at the ends of each admissible segment: a sign change brackets
+one root; two negative ends send a bisection on the sign of F' after the
+maximum, which stops at the first point where F > 0 (a bracket on each
+side) or once the tangents of F bound its maximum below zero.  Each
+bracket is solved by Brent's method.  Both positive- and negative-energy
+roots are reported, down to the edge itself: a root between an edge and
+the first admissible float above it is reported at that float.  There E
+resolves p2 only to ulp(E) / (E - edge), so each root is solved again in
+its offset from the nearest edge or mass shell, and the state's
+coefficients come from that.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
 
 from . import model, special
 from .model import Admissibility, FieldConfiguration, StateIndex, SymmetryLimit
 
-if TYPE_CHECKING:
-    import numpy as np
-
-# a root of P further than this (relative) from the real axis is complex
-_IMAG_TOL = 1e-3
-# distance (relative) a float root of P may sit from the exact one, on top of
-# its imaginary part; clustered and double roots are resolved only to
-# about sqrt(machine epsilon)
-_CANDIDATE_SPREAD = 1e-6
-# first half-width (relative) of the sign-change search around a candidate,
-# and its growth per step
-_FIRST_STEP = 1e-9
+# half-width growth per step of _package's sign-change search
 _STEP_GROWTH = 100.0
-# polished roots closer than this (relative) are one root: rounding splits a
-# tangent root into two nearby sign changes of the computed F
+# roots closer than this (relative) are one root: rounding splits a tangent
+# root into two nearby sign changes of the computed F
 _SAME_ROOT = 1e-7
 # |F| at or below this share of the size of its terms is zero to rounding
 _ROUNDING = 64.0 * math.ulp(1.0)
@@ -76,7 +63,11 @@ class SearchWindow:
 
 
 def default_window(cfg: FieldConfiguration) -> SearchWindow:
-    """[-(M + 20), M + 20], wide enough for desk-scale configurations."""
+    """[-(M + 20), M + 20], wide enough for desk-scale configurations.
+    Raises OverflowError where M + 20 rounds to M: the window would end on
+    the mass shell and drop the states just past it."""
+    if cfg.M + 20.0 == cfg.M:
+        raise OverflowError(f"M = {cfg.M} leaves no room for the default window [-(M + 20), M + 20]")
     return SearchWindow(-(cfg.M + 20.0), cfg.M + 20.0)
 
 
@@ -116,47 +107,6 @@ def energy_condition(cfg: FieldConfiguration, sym: SymmetryLimit, idx: StateInde
 
 def _condition(p2: float, d: float, q: float, n: int) -> float:
     return 2.0 * math.sqrt(p2) * (2.0 * n + 1.0 + math.sqrt(d)) + q
-
-
-def _condition_polynomial(p2, d, q, n: int) -> np.ndarray:
-    """Ascending coefficients of P = (q^2 - 4 p2 (K^2 + d))^2 - 64 K^2 p2^2 d
-    from the coefficient polynomials of ``model.coefficient_polynomials``."""
-    import numpy as np
-
-    K2 = (2.0 * n + 1.0) ** 2
-    inner = np.convolve(q, q)
-    inner[:3] -= 4.0 * np.convolve(p2, (K2 + d[0], d[1]))
-    P = np.convolve(inner, inner)
-    P[:4] -= 64.0 * K2 * np.convolve(np.convolve(p2, p2), d)
-    return P
-
-
-def _condition_roots(cfg: FieldConfiguration, sym: SymmetryLimit, idx: StateIndex) -> np.ndarray:
-    """The complex roots of P, as energies.
-
-    Bound states gather near E = -M and E = +M, four roots of P around
-    each, and in powers of E the coefficients of P lose those clusters to
-    rounding once M is large (at M = 1e4 a root moves by 0.1).  So the roots
-    below E = 0 come from P expanded about -M and the rest from P expanded
-    about +M: two companion matrices, one eigenvalue call.
-    """
-    # numpy is imported here, not at module level, so that ``import diracosc``
-    # stays free of it; both numpy functions go with the degree-8 polynomial
-    import numpy as np
-
-    companion = np.zeros((2, 8, 8))
-    companion[:, 1:, :-1] = np.eye(7)
-    origins = (-cfg.M, cfg.M)
-    for k, origin in enumerate(origins):
-        P = _condition_polynomial(*model.coefficient_polynomials(cfg, sym, idx.m, origin), idx.n)
-        companion[k, 0, :] = -P[-2::-1] / P[-1]
-    try:
-        eigvals = np.linalg.eigvals(companion)
-    except np.linalg.LinAlgError:
-        raise OverflowError("the coefficients of P(E) overflow float range") from None
-    below, above = (x + o for x, o in zip(eigvals, origins))
-    # an overlap of one candidate spread around E = 0 loses no root there
-    return np.concatenate((below[below.real <= _CANDIDATE_SPREAD], above[above.real >= -_CANDIDATE_SPREAD]))
 
 
 def _boundaries(cfg: FieldConfiguration, sym: SymmetryLimit, p2, d) -> list[float]:
@@ -233,35 +183,10 @@ def _admissible_segments(
     return [(lo, hi)]
 
 
-def _candidates(roots, p2, d, q, n: int, lo: float, hi: float) -> list[float]:
-    """The roots of P in [lo, hi] where F can vanish, clamped into [lo, hi],
-    ascending and distinct.
-
-    ``roots`` are the complex roots of P.  A near-real root stands for a
-    real root within its spread; it is kept when, at its clamped real part
-    and within that spread, q < 0 and q^2 - 4 p2 (K^2 + d) >= 0, which every
-    zero of F satisfies.  Nothing here evaluates F.
-    """
-    K2 = (2.0 * n + 1.0) ** 2
-    out = set()
-    for z in roots:
-        x, y = float(z.real), abs(float(z.imag))
-        spread = y + _CANDIDATE_SPREAD * (1.0 + abs(x))
-        if y > _IMAG_TOL * (1.0 + abs(x)) or not lo - spread <= x <= hi + spread:
-            continue
-        x = min(max(x, lo), hi)
-        p2x, dx, qx = _evaluate((p2, d, q), x)
-        dq = q[1] + 2.0 * q[2] * x
-        inner = qx * qx - 4.0 * p2x * (K2 + dx)
-        dinner = 2.0 * qx * dq - 4.0 * p2[1] * (K2 + dx) - 4.0 * p2x * d[1]
-        if qx < abs(dq) * spread and inner >= -abs(dinner) * spread:
-            out.add(x)
-    return sorted(out)
-
-
 def _polish(f, c: float, fc: float, left: float, right: float, w: float) -> float | None:
-    """Zero of f nearest the candidate c within [left, right], or None when
-    f does not change sign there.
+    """Zero of f nearest c within [left, right], or None when f does not
+    change sign there.  ``_package`` calls it with f the condition in the
+    offset from an edge and c the offset of a root found in E.
 
     Searches both sides of c, widening by _STEP_GROWTH from the half-width
     w, for a sign change of f, and refines the bracket found by Brent's
@@ -334,44 +259,102 @@ def _brent(f, lo: float, hi: float, flo: float, fhi: float, tol: float) -> float
         fb = f(b)
 
 
+def _root_below_first_float(cfg: FieldConfiguration, sym: SymmetryLimit, idx: StateIndex,
+                            window: SearchWindow, polys) -> bool:
+    """Whether F < 0 at the rising p2 = 0 or d = 0 edge that the first
+    admissible float of the window lies a few ulps above.  With F > 0 at
+    that float, F has a root between the two, closer to the edge than any
+    float.
+
+    F at the edge comes from ``_local_polynomials`` about it (at p2 = 0, F
+    is q).  It must be below zero by more than the rounding of q's terms,
+    which is how far the rounding of the edge itself moves it: at B = 0 the
+    p2 = 0 edge is the mass shell, where F is 0, but it rounds to a float
+    next to it, where the local q is not.
+    """
+    p2, d, q = polys
+    rising = [-c[0] / c[1] for c in (p2, d) if c[1] > 0.0]
+    if not rising or max(rising) < window.e_min:
+        return False
+    edge = max(rising)
+    p2e, de, qe = _evaluate(_local_polynomials(cfg, sym, idx.m, edge), 0.0)
+    margin = _ROUNDING * (abs(q[0]) + abs(q[2]) * edge * edge)
+    return _condition(max(p2e, 0.0), max(de, 0.0), qe, idx.n) < -margin
+
+
+def _beside_maximum(f, probe, a: tuple, b: tuple) -> list[float]:
+    """The roots between a and b of a strictly concave F that is < 0 at
+    both: none, a tangent root at its maximum, or one on each side of it.
+
+    ``probe(E)`` is (E, F, F', the rounding level of F) and a and b are its
+    values at the ends.  Bisects on the sign of F' for the maximum, and
+    stops at the first midpoint where F > 0: it brackets one root on each
+    side, solved on f = F.  F lies below its tangent at each end of the
+    bracket of the maximum, so either tangent at the far end bounds max F;
+    the search also stops when that bound is below zero by more than
+    rounding.  With the maximum bracketed to one ulp, it is a tangent root
+    when F there is zero to rounding.
+    """
+    (lo, flo, _, _), (hi, fhi, _, _) = a, b
+    while True:
+        (xa, fa, sa, ta), (xb, fb, sb, tb) = a, b
+        if min(fa + max(sa, 0.0) * (xb - xa), fb + max(-sb, 0.0) * (xb - xa)) < -max(ta, tb):
+            return []
+        x = 0.5 * (xa + xb)
+        if x in (xa, xb):
+            x, fx, _, tx = a if fa >= fb else b
+            return [x] if abs(fx) <= tx else []
+        point = probe(x)
+        if point[1] > 0.0:
+            return [_brent(f, lo, x, flo, point[1], 0.0), _brent(f, x, hi, point[1], fhi, 0.0)]
+        if point[2] > 0.0:
+            a = point
+        else:
+            b = point
+
+
 def find_states(
     cfg: FieldConfiguration,
     sym: SymmetryLimit,
     idx: StateIndex,
     window: SearchWindow,
 ) -> list[BoundState]:
-    """All roots of F in the window, ascending in E, down to a few ulps
-    from an admissibility edge; only the mass shell itself is excluded, where
-    F is undefined.  An empty list is a valid result.
+    """All roots of F in the window, ascending in E, down to the
+    admissibility edges; only the mass shell itself is excluded, where F is
+    undefined.  An empty list is a valid result.
     """
-    p2, d, q = model.coefficient_polynomials(cfg, sym, idx.m)
+    polys = model.coefficient_polynomials(cfg, sym, idx.m)
+    p2, d, q = polys
     segments = _admissible_segments(cfg, sym, idx.m, window, p2, d)
-    if not segments:
-        return []
-    roots_of_p = _condition_roots(cfg, sym, idx)
+    K = 2.0 * idx.n + 1.0
+
+    def probe(E: float) -> tuple[float, float, float, float]:
+        p2E, dE, qE = _evaluate(polys, E)
+        # the segment ends are admissible, but the polynomials about 0 can
+        # round p2 or d just below zero there
+        sp, sd = math.sqrt(max(p2E, 0.0)), math.sqrt(max(dE, 0.0))
+        F = 2.0 * sp * (K + sd) + qE
+        # F' is +inf where p2 = 0, and +-inf where d = 0 and varies
+        rise = p2[1] * (K + sd) / sp if sp else math.inf
+        bend = sp * d[1] / sd if sd else math.copysign(math.inf, d[1]) if d[1] else 0.0
+        return E, F, rise + bend + q[1] + 2.0 * q[2] * E, _ROUNDING * (abs(qE) + F - qE)
 
     def f(E: float) -> float:
-        return energy_condition(cfg, sym, idx, E)
+        return probe(E)[1]
 
     roots: list[float] = []
-    for lo, hi in segments:
-        cands = _candidates(roots_of_p, p2, d, q, idx.n, lo, hi)
-        for i, c in enumerate(cands):
-            # disjoint search ranges: each root of F lies nearest its own root of P
-            left = lo if i == 0 else 0.5 * (cands[i - 1] + c)
-            right = hi if i + 1 == len(cands) else 0.5 * (c + cands[i + 1])
-            fc = f(c)
-            root = _polish(f, c, fc, left, right, _FIRST_STEP * (1.0 + abs(c)))
-            if root is None:
-                # a tangent root: F touches zero at c without changing sign;
-                # the size of F's terms is |q| + |F - q|
-                q_c = model.reduced_coefficients(cfg, sym, idx.m, c).q
-                if abs(fc) > _ROUNDING * (abs(q_c) + abs(fc - q_c)):
-                    continue
-                root = c
-            if roots and root - roots[-1] <= _SAME_ROOT * (1.0 + abs(root)):
-                continue
-            roots.append(root)
+    for k, (lo, hi) in enumerate(segments):
+        a, b = probe(lo), probe(hi)
+        found = []
+        if k == 0 and a[1] > 0.0 and _root_below_first_float(cfg, sym, idx, window, polys):
+            found.append(lo)
+        if (a[1] < 0.0) != (b[1] < 0.0):
+            found.append(_brent(f, lo, hi, a[1], b[1], 0.0))
+        elif a[1] < 0.0:
+            found += _beside_maximum(f, probe, a, b)
+        for root in found:
+            if not roots or root - roots[-1] > _SAME_ROOT * (1.0 + abs(root)):
+                roots.append(root)
     boundaries = _boundaries(cfg, sym, p2, d)
     return [_package(cfg, sym, idx, root, boundaries) for root in roots]
 

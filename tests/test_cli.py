@@ -96,8 +96,6 @@ def test_solve_non_finite_parameter_exit_2(capsys, flag, value):
 @pytest.mark.parametrize("argv", [
     ["solve", *BARE_SPIN, "--n", "0", "--m", "0", "--emax", "1e160"],
     ["solve", *BARE_SPIN, "--n", "0", "--m", "0", "--M", "1e77"],
-    ["solve", *BARE_SPIN, "--n", "0", "--m", "0", "--B", "1e100"],
-    ["solve", *BARE_SPIN, "--n", "0", "--m", "0", "--a", "1e300"],
     ["solve", *BARE_SPIN, "--n", "0", "--m", "0", "--B", "1e200"],
     ["solve", *BARE_SPIN, "--n", "0", "--m", "0", "--flux", "1e300"],
     ["solve", *BARE_SPIN, "--n", "0", "--m", "0", "--B", "0.5", "--c", "1e-200"],
@@ -118,6 +116,26 @@ def test_finite_values_past_float_range_exit_2(capsys, tmp_path, monkeypatch, ar
     assert len(err.strip().splitlines()) == 1
     assert err.startswith("invalid parameters: ")
     assert not (tmp_path / "unused.csv").exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--B", "1e100"), ("--a", "1e300")])
+def test_huge_finite_parameters_with_no_state_in_the_window_exit_1(capsys, flag, value):
+    # F stays finite over the default window [-21, 21], and its roots lie
+    # outside it (at -+1e50 for B = 1e100): no state, not invalid parameters
+    code, out, err = run(capsys, ["solve", *BARE_SPIN, "--n", "0", "--m", "0", flag, value])
+    assert code == 1
+    assert out.strip() == "symmetry,n,m,M,a,b,B,flux,e,c,E,residual,p_tilde,alpha,norm_const"
+    assert err == ""
+
+
+def test_huge_mass_solves_in_an_explicit_window(capsys):
+    # M + 20 rounds to M = 1e77, so only the default window is invalid; the
+    # state lies about 1e-38 above M, far below one ulp of M
+    argv = ["solve", *BARE_SPIN, "--n", "0", "--m", "0", "--M", "1e77", "--emin=-2e77", "--emax", "2e77"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    (row,) = out.strip().splitlines()[1:]
+    assert float(row.split(",")[10]) == 1e77
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])

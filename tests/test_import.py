@@ -1,5 +1,5 @@
-"""Import hygiene: ``import diracosc`` and the CLI start without numpy or
-scipy, and the names that load them later are still all there.
+"""Import hygiene: ``import diracosc``, the CLI and ``solve`` run without
+numpy or scipy, and the names that load them later are still all there.
 
 Each check runs in a fresh interpreter: this one has numpy loaded already.
 """
@@ -43,6 +43,14 @@ def test_cli_without_numpy():
     code = ("from diracosc import cli\n"
             "try:\n    cli.main(['--help'])\nexcept SystemExit as exc:\n    assert exc.code == 0\n"
             f"{LOADED}")
+    assert fresh(code) == []
+
+
+def test_solve_without_numpy():
+    # the README solve command: find_states needs neither numpy nor scipy
+    solve = ["solve", "--symmetry", "spin", "--M", "1", "--a", "1", "--b", "0", "--B", "0",
+             "--flux", "0", "--n", "0", "--m", "0"]
+    code = f"from diracosc import cli; assert cli.main({solve!r}) == 0; {LOADED}"
     assert fresh(code) == []
 
 

@@ -1,9 +1,7 @@
 import math
-import random
 from dataclasses import replace
 
 import mpmath
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +12,6 @@ from diracosc.spectrum import (
     InadmissibleEnergy,
     SearchWindow,
     SweepSpec,
-    _condition_polynomial,
     default_window,
     energy_condition,
     find_states,
@@ -199,31 +196,6 @@ def test_closed_relation_spin_no_fields():
             assert abs(lhs - rhs) <= 1e-9 * rhs, (n, m)
 
 
-def test_condition_polynomial_matches_coefficients():
-    # float coefficients of P, in powers of E - origin, against P evaluated
-    # from reduced_coefficients
-    rng = random.Random(2)
-    for _ in range(300):
-        cfg = FieldConfiguration(
-            M=rng.uniform(0.5, 2.0), a=rng.uniform(0.0, 2.0), b=rng.uniform(-0.5, 1.5),
-            B=rng.uniform(-3.0, 3.0), phi_AB=rng.uniform(-3.0, 3.0),
-            e=rng.uniform(0.5, 2.0), c=rng.uniform(0.5, 2.0),
-        )
-        sym = rng.choice((PS, SP))
-        n, m = rng.randrange(6), rng.randrange(-3, 4)
-        origin = rng.choice((0.0, -cfg.M, cfg.M))
-        coeffs = _condition_polynomial(*model.coefficient_polynomials(cfg, sym, m, origin), n)
-        assert len(coeffs) == 9
-        E = rng.uniform(-(cfg.M + 20.0), cfg.M + 20.0)
-        rc = model.reduced_coefficients(cfg, sym, m, E)
-        K2 = (2 * n + 1) ** 2
-        d = rc.delta + 0.25
-        expected = (rc.q**2 - 4.0 * rc.p2 * (K2 + d)) ** 2 - 64.0 * K2 * rc.p2**2 * d
-        x = E - origin
-        size = float(np.polyval(np.abs(coeffs[::-1]), abs(x)))
-        assert abs(np.polyval(coeffs[::-1], x) - expected) <= 1e-13 * size
-
-
 def mp_root(cfg, sym, n, m, origin, x0, *, edge_at_origin, dps=60):
     """Root of F(origin + x) in x between x0 / 2 and 2 x0, at dps digits.
 
@@ -296,15 +268,47 @@ def test_seed_2_edge_state_is_found_and_accurate():
     assert abs(nu.eigen_condition(solution, problem, 2)) <= 1e-9 * (1.0 + abs(solution.lam))
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 5, 10, 50])
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 10, 50, 275, 295, 400])
 def test_edge_offsets_match_a_60_digit_root(n):
     # distance from the edge ~ q^2 / (4 p2' (2n + 1)^2): 1.2e-10 at n = 0
-    # down to 1.2e-14 at n = 50, below 52 ulps of E
+    # down to 1.2e-14 at n = 50, below 52 ulps of E; from n = 275 on it is
+    # below the first admissible float, 1.8e-16 at n = 400
     state = edge_state(n)
     ref = mp_root(EDGE_CFG, SP, n, 0, state.origin, state.offset, edge_at_origin=True)
     assert abs(state.offset - ref) <= 1e-15 * ref, (state.offset, ref)
     x = mp_root(EDGE_CFG, SP, n, 0, state.origin, state.offset, edge_at_origin=False)
     assert abs(state.E - (state.origin + x)) <= math.ulp(state.E)
+
+
+@pytest.mark.parametrize("B, m, count", [(-5.84e-162, -1, 1), (1.6e-297, 1, 1), (1e-9, 1, 2)])
+def test_p2_edge_that_rounds_onto_the_mass_shell(B, m, count):
+    # spin, b = 0: the p2 = 0 edge -M - B^2 / (8 a) rounds to the mass shell.
+    # F there is q = -e m B / 2 < 0; below 1e-161 it is zero to rounding and
+    # only the bulk state is left, at 1e-9 a second root lies 2.5e-19 above
+    # the edge, closer than the first admissible float
+    cfg = FieldConfiguration(M=1, a=0.03125, b=0, B=B, phi_AB=0)
+    states = find_states(cfg, SP, StateIndex(0, m), default_window(cfg))
+    assert len(states) == count
+    assert abs(states[-1].E - (1.0 + math.sqrt(5.0)) / 2.0) <= 1e-9
+    if count == 2:
+        ref = mp_root(cfg, SP, 0, m, states[0].origin, states[0].offset, edge_at_origin=True)
+        assert states[0].origin == -1.0
+        assert abs(states[0].offset - ref) <= 1e-12 * ref
+        assert states[0].p_tilde > 0.0
+
+
+def test_huge_field_roots_far_outside_the_default_window():
+    # F = 2 sqrt(p2) + 1 - E^2 with p2 = B^2 / 4 + 2 (E + 1): E = -+1e50
+    cfg = FieldConfiguration(M=1, a=1, b=0, B=1e100, phi_AB=0)
+    assert find_states(cfg, SP, StateIndex(0, 0), default_window(cfg)) == []
+    got = [s.E for s in find_states(cfg, SP, StateIndex(0, 0), SearchWindow(-1e60, 1e60))]
+    assert got == pytest.approx([-1e50, 1e50], rel=1e-15)
+
+
+def test_default_window_needs_room_past_the_mass_shell():
+    assert default_window(FieldConfiguration(M=1e17, a=1, b=0)).e_max > 1e17
+    with pytest.raises(OverflowError):
+        default_window(FieldConfiguration(M=1e77, a=1, b=0))
 
 
 def test_window_validation():
@@ -457,6 +461,34 @@ def _drawn_request(draw):
 def test_random_configurations_match_polynomial_reference(data):
     cfg, sym, idx = _drawn_request(data.draw)
     assert_matches_reference(cfg, sym, idx, default_window(cfg))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_condition_is_strictly_concave_with_at_most_two_roots(data):
+    # sqrt(p2) and sqrt(p2 d) are concave for linear p2 and d, and q carries
+    # -E^2: every second difference of F is at most q's, -2 h^2, to rounding
+    cfg, sym, idx = _drawn_request(data.draw)
+    window = default_window(cfg)
+    assert len(find_states(cfg, sym, idx, window)) <= 2
+    p2, d, _ = model.coefficient_polynomials(cfg, sym, idx.m)
+    lo = max([window.e_min] + [-c[0] / c[1] for c in (p2, d) if c[1] > 0.0])
+    hi = min([window.e_max] + [-c[0] / c[1] for c in (p2, d) if c[1] < 0.0])
+    if p2[0] + p2[1] * hi <= 0.0 or not lo < hi:
+        return
+    h = (hi - lo) / 64
+    grid = [lo + h * i for i in range(1, 64)]
+    values = []
+    for E in grid:
+        try:
+            values.append(energy_condition(cfg, sym, idx, E))
+        except InadmissibleEnergy:
+            values.append(None)  # the mass shell, or rounding at an edge
+    for E, (left, mid, right) in zip(grid[1:], zip(values, values[1:], values[2:])):
+        if None in (left, mid, right):
+            continue
+        size = cfg.M**2 + (abs(E) + h) ** 2 + abs(left) + 2.0 * abs(mid) + abs(right)
+        assert left - 2.0 * mid + right <= -2.0 * h * h + 1e-13 * size, (E, left, mid, right)
 
 
 def _energies(cfg, sym, idx):
