@@ -12,7 +12,8 @@ with (P, D, q) = (p2, delta, q) the radial-bracket coefficients of
 does not search for one: ``compare`` brackets each root of ``find_states``
 1e-8 wide, and a sign change of G(E) = mu_n + q there, from two eigensolve
 pairs and without the polynomial machinery of the analytic route, confirms
-it.  The Sturm index check runs on the matrices already built at one end.
+it.  Every solve proves its index with Sturm counts, so both ends of the
+bracket are proven.
 
 Discretization: the Frobenius factor at r = 0 comes out exactly.  With
 nu = sqrt(D + 1/4) and u = r^(nu + 1/2) y, the remainder y is smooth and
@@ -21,11 +22,14 @@ even in r for every D >= -1/4, critical coupling included, and solves
 uniform cells: face conductance r_face^k / h, closed faces at r = 0 and
 r = r_max, cell weight int r^k dr and potential int P r^(k+2) dr, both exact
 over each cell, symmetrized by the square root of the weights into a
-symmetric tridiagonal matrix.  The eigenvalue by index comes from tridiagonal
-bisection, and Richardson extrapolation (4 mu_{h/2} - mu_h) / 3 over the
-cells and their halves leaves an h^4 error.  On a grid in units of P^(-1/4)
-the discrete operator at P is exactly sqrt(P) times the one at P = 1, so one
-grid, ``GRID``, serves every P at the accuracy of P = 1.
+symmetric tridiagonal matrix.  The eigenvalue by index comes from LAPACK
+index bisection on the cells (dstebz), and on their halves from one inverse
+iteration (dstein) shifted at it: the Rayleigh quotient of its vector, with
+the index proven by LAPACK Sturm counts just below and above.  Richardson
+extrapolation (4 mu_{h/2} - mu_h) / 3 over the two leaves an h^4 error.  On
+a grid in units of P^(-1/4) the discrete operator at P is exactly sqrt(P)
+times the one at P = 1, so one grid, ``GRID``, serves every P at the
+accuracy of P = 1.
 """
 
 from __future__ import annotations
@@ -73,30 +77,24 @@ class RadialGrid:
 GRID = RadialGrid(12.0, 1500)
 
 
-def sturm_count(diag: np.ndarray, off2: np.ndarray, x: float) -> int:
-    """Number of eigenvalues of the symmetric tridiagonal matrix below x.
+def sturm_count(diag: np.ndarray, off: np.ndarray, x: float) -> int:
+    """Number of eigenvalues at or below x of the symmetric tridiagonal
+    matrix with diagonal diag and off-diagonal off.
 
-    Standard LDL^T pivot sign count; off2[i - 1] is the squared off-diagonal
-    entry between rows i - 1 and i.
+    One LAPACK dstebz call over (-inf, x] with an infinite tolerance: the
+    Sturm count that starts its bisection, and no refinement.
     """
-    count = 0
-    d = math.inf  # 0 / inf = 0: the first pivot is diag[0] - x
-    # Python floats: the same IEEE doubles as numpy scalars, without the
-    # per-element numpy scalar overhead
-    for a, b2 in zip(diag.tolist(), [0.0] + off2.tolist()):
-        d = (a - x) - b2 / d
-        if d == 0.0:
-            d = -1e-300
-        if d < 0.0:
-            count += 1
-    return count
-
-
-def _single_grid_eigenvalue(D: float, r_max: float, cells: int, n: int):
     # imported at the first solve, not with the module: scipy.linalg takes
-    # longer to import than the rest of the package, and only this needs it
-    from scipy.linalg import eigvalsh_tridiagonal
+    # longer to import than the rest of the package, and only the oracle's
+    # solves need it
+    from scipy.linalg.lapack import dstebz
 
+    return dstebz(diag, off, 1, -math.inf, x, 0, 0, math.inf, "E")[0]
+
+
+def _matrix(D: float, r_max: float, cells: int) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of the symmetrized P = 1 operator on
+    ``cells`` uniform cells of (0, r_max)."""
     k = 2.0 * math.sqrt(D + 0.25) + 1.0
     h = r_max / cells
     i = np.arange(1, cells + 1, dtype=float)
@@ -112,8 +110,45 @@ def _single_grid_eigenvalue(D: float, r_max: float, cells: int, n: int):
     outer[-1] = 0.0
     diag = (inner + outer + potential) / w
     off = -np.sqrt(t[1:] ** k / (w[:-1] * w[1:])) / h
+    return diag, off
+
+
+def _single_grid_eigenvalue(D: float, r_max: float, cells: int, n: int):
+    """Eigenvalue n of the operator on ``cells`` cells by index bisection
+    (LAPACK dstebz), and the diagonal and off-diagonal it came from."""
+    from scipy.linalg import eigvalsh_tridiagonal
+
+    diag, off = _matrix(D, r_max, cells)
     mu = eigvalsh_tridiagonal(diag, off, select="i", select_range=(n, n))
-    return float(mu[0]), diag, off * off
+    return float(mu[0]), diag, off
+
+
+def _eigenvalue_near(diag: np.ndarray, off: np.ndarray, shift: float, n: int) -> float:
+    """Eigenvalue n of the symmetric tridiagonal matrix from a shift already
+    close to it: the Rayleigh quotient of the vector of one LAPACK dstein
+    inverse iteration at the shift.
+
+    Two Sturm counts at mu -+ 1e-8 (1 + |mu|) prove the index; GridTooCoarse
+    if they do not, or if dstein does not converge.
+    """
+    from scipy.linalg.lapack import dstein
+
+    cells = len(diag)
+    # one eigenvalue in one block, the whole matrix; dstein seeds its start
+    # vector, so the result is reproducible
+    z, info = dstein(diag, off, [shift], np.ones(cells, np.int32), np.full(cells, cells, np.int32))
+    if info != 0:
+        raise GridTooCoarse(f"inverse iteration at {shift} did not converge (n = {n})")
+    z = z[:, 0]
+    mu = float((np.dot(diag * z, z) + 2.0 * np.dot(off * z[:-1], z[1:])) / np.dot(z, z))
+    eps = 1e-8 * (1.0 + abs(mu))
+    below = sturm_count(diag, off, mu - eps)
+    above = sturm_count(diag, off, mu + eps)
+    if below != n or above < n + 1:
+        raise GridTooCoarse(
+            f"fine-grid Sturm count brackets index [{below}, {above}) instead of {n}"
+        )
+    return mu
 
 
 def fd_eigenvalue(P: float, D: float, grid: RadialGrid, n: int) -> tuple[float, Callable[[], None]]:
@@ -121,19 +156,26 @@ def fd_eigenvalue(P: float, D: float, grid: RadialGrid, n: int) -> tuple[float, 
     units of P^(-1/4), Richardson-extrapolated from the grids h and h/2, and
     its index check.
 
-    check() re-checks the eigenvalue index against Sturm counts on both
-    grids, on the P = 1 matrices of this solve, and raises GridTooCoarse if
-    they disagree (meant for final answers, not for every solve).
+    The coarse eigenvalue comes by index bisection, and the h/2 one by
+    inverse iteration from it, its index proven by two Sturm counts on the
+    h/2 matrix (GridTooCoarse otherwise).  check() re-checks the index with
+    a Sturm count on the coarse P = 1 matrix of this solve, and raises
+    GridTooCoarse if it disagrees (meant for final answers, not for every
+    solve).
     """
+    for name, value in (("P", P), ("D", D)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if not P > 0.0:
         raise ValueError(f"P must be > 0, got {P}")
     if D < -0.25:
         raise ValueError(f"D must be >= -1/4, got {D}")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    mu_h, diag_h, off2_h = _single_grid_eigenvalue(D, grid.r_max, grid.points, n)
+    mu_h, diag_h, off_h = _single_grid_eigenvalue(D, grid.r_max, grid.points, n)
     # the nested grid: every cell split in two
-    mu_f, diag_f, off2_f = _single_grid_eigenvalue(D, grid.r_max, 2 * grid.points, n)
+    diag_f, off_f = _matrix(D, grid.r_max, 2 * grid.points)
+    mu_f = _eigenvalue_near(diag_f, off_f, mu_h, n)
     if abs(mu_h - mu_f) > 0.1 * (1.0 + abs(mu_f)):
         raise GridTooCoarse(
             f"h and h/2 eigenvalues disagree: {mu_h} vs {mu_f} (n = {n})"
@@ -141,13 +183,7 @@ def fd_eigenvalue(P: float, D: float, grid: RadialGrid, n: int) -> tuple[float, 
 
     def check_index() -> None:
         eps = 1e-8 * (1.0 + abs(mu_f))
-        below = sturm_count(diag_f, off2_f, mu_f - eps)
-        above = sturm_count(diag_f, off2_f, mu_f + eps)
-        if below != n or above < n + 1:
-            raise GridTooCoarse(
-                f"fine-grid Sturm count brackets index [{below}, {above}) instead of {n}"
-            )
-        coarse = sturm_count(diag_h, off2_h, mu_f + eps)
+        coarse = sturm_count(diag_h, off_h, mu_f + eps)
         if coarse not in (n, n + 1):
             raise GridTooCoarse(
                 f"coarse-grid Sturm count {coarse} inconsistent with index {n}"
@@ -174,9 +210,11 @@ def self_consistent_energy(
     the oracle's to within 1e-8.
 
     Unless G is exactly zero at an end, the result is the secant point of
-    the two G values: a measurement, not an end of the window.  The
-    eigenvalue index is verified by Sturm counts at the end with the
-    smaller |G|, on the matrices G built there, so the check solves nothing.
+    the two G values: a measurement, not an end of the window.  Each G
+    proves its eigenvalue index by Sturm counts on its h/2 matrix, so both
+    ends are proven; the coarse matrix of the end with the smaller |G| gets
+    one more count, on the matrices G built there, so the check solves
+    nothing.
     """
     lo, hi = window
     if not lo <= hi <= lo + 2.0 * _TOL:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from diracosc import oracle
@@ -9,6 +10,8 @@ from diracosc.oracle import (
     GridTooCoarse,
     NoSignChange,
     RadialGrid,
+    _eigenvalue_near,
+    _matrix,
     _single_grid_eigenvalue,
     compare,
     fd_eigenvalue,
@@ -52,6 +55,11 @@ def test_fd_eigenvalue_validation():
         fd_eigenvalue(1.0, -0.3, grid, 0)
     with pytest.raises(ValueError):
         fd_eigenvalue(1.0, 0.0, grid, -1)
+    # the LAPACK calls check nothing: non-finite P and D stop here
+    with pytest.raises(ValueError, match="P must be finite"):
+        fd_eigenvalue(math.inf, 0.0, GRID, 0)
+    with pytest.raises(ValueError, match="D must be finite"):
+        fd_eigenvalue(1.0, math.nan, GRID, 0)
     with pytest.raises(ValueError):
         RadialGrid(12.0, 99)
     with pytest.raises(ValueError):
@@ -77,7 +85,9 @@ def test_sturm_count_brackets_index():
 
 
 def test_sturm_count_matches_numpy_scalar_loop():
-    # reference: the same LDL^T recurrence over numpy float64 scalars
+    # reference: the LDL^T pivot sign recurrence over numpy float64 scalars,
+    # fed the squared off-diagonal; x equal to a computed eigenvalue is left
+    # out, where the two operation orders may round a zero pivot apart
     def reference(diag, off2, x):
         count = 0
         d = None
@@ -89,10 +99,41 @@ def test_sturm_count_matches_numpy_scalar_loop():
                 count += 1
         return count
 
-    mu, diag, off2 = _single_grid_eigenvalue(0.4, 12.0, 2003, 3)
-    xs = [mu - 1e-8, mu, mu + 1e-8, -5.0, 0.0, 50.0, 4.0 / (12.0 / 2003) ** 2]
-    for x in xs:
-        assert sturm_count(diag, off2, x) == reference(diag, off2, x)
+    cells = 2003
+    for D in (-0.25, 0.4, 30.0):
+        for n in (0, 3, 20):
+            mu, diag, off = _single_grid_eigenvalue(D, 12.0, cells, n)
+            next_mu, _, _ = _single_grid_eigenvalue(D, 12.0, cells, n + 1)
+            radius = abs(np.concatenate(([0.0], off))) + abs(np.concatenate((off, [0.0])))
+            lowest, highest = min(diag - radius), max(diag + radius)
+            xs = [lowest - 1.0, -5.0, 0.0, mu - 1e-8, mu + 1e-8, 0.5 * (mu + next_mu),
+                  50.0, 4.0 / (12.0 / cells) ** 2, highest + 1.0]
+            for x in xs:
+                assert sturm_count(diag, off, x) == reference(diag, off * off, x), (D, n, x)
+            assert sturm_count(diag, off, lowest - 1.0) == 0
+            assert sturm_count(diag, off, highest + 1.0) == cells
+
+
+@pytest.mark.parametrize("D", [-0.25, 0.0, 0.75, 3.75, 30.0])
+def test_inverse_iteration_matches_index_bisection(D):
+    # the h/2 eigenvalue of fd_eigenvalue: inverse iteration shifted at the
+    # coarse eigenvalue, against index bisection on the same 3000 cells
+    diag, off = _matrix(D, 12.0, 3000)
+    for n in (0, 1, 5, 20, 30):
+        shift, _, _ = _single_grid_eigenvalue(D, 12.0, 1500, n)
+        bisected, _, _ = _single_grid_eigenvalue(D, 12.0, 3000, n)
+        mu = _eigenvalue_near(diag, off, shift, n)
+        assert abs(mu - bisected) <= 1e-10 * (1.0 + bisected), n
+
+
+def test_inverse_iteration_proves_its_index():
+    # a shift at level n + 1 finds that level, and the Sturm counts reject it
+    diag, off = _matrix(0.75, 12.0, 3000)
+    for n in (0, 5):
+        shift, _, _ = _single_grid_eigenvalue(0.75, 12.0, 3000, n + 1)
+        assert abs(_eigenvalue_near(diag, off, shift, n + 1) - shift) <= 1e-10 * (1.0 + shift)
+        with pytest.raises(GridTooCoarse):
+            _eigenvalue_near(diag, off, shift, n)
 
 
 def _recording(f):
@@ -197,8 +238,8 @@ def test_tol_wide_bracket_costs_two_eigensolves(monkeypatch):
     # a measurement inside the bracket, not one of its ends
     assert bracket[0] < E_fd < bracket[1]
 
-    # the index check still runs, on the matrices G built
-    monkeypatch.setattr(oracle, "sturm_count", lambda diag, off2, x: -1)
+    # every solve proves its index with Sturm counts
+    monkeypatch.setattr(oracle, "sturm_count", lambda diag, off, x: -1)
     with pytest.raises(GridTooCoarse):
         self_consistent_energy(cfg, SP, idx, GRID, bracket)
 
@@ -373,6 +414,36 @@ def test_compare_confirms_roots_near_an_edge():
     reports = compare(cfg, PS, StateIndex(5, 1), None, default_window(cfg))
     assert len(reports) == 2
     assert all(rep.abs_diff is not None and rep.abs_diff <= 1e-8 for rep in reports)
+
+
+def test_compare_is_reproducible():
+    # dstein seeds its start vector: one request, bit-identical answers
+    cfg = FieldConfiguration(M=1, a=1, b=1, B=0.5, phi_AB=0.6)
+    for n in (0, 3, 8):
+        first, second = (
+            [rep.oracle_E for rep in compare(cfg, SP, StateIndex(n, 1), None, default_window(cfg))]
+            for _ in range(2)
+        )
+        assert first == second and first[0] is not None, n
+
+
+# confirmed (True) or not, per analytic root in ascending E, at m = 1: the
+# split that index bisection on both grids gave
+EXCITED_SPLIT = [
+    (SP, FieldConfiguration(M=1, a=1, b=1, B=0.5, phi_AB=0.6),
+     {8: [True, False], 20: [True], 30: [True]}),
+    (PS, FieldConfiguration(M=2, a=1.5, b=0.5, B=1, phi_AB=0.3),
+     {8: [True, False], 20: [True], 30: [True]}),
+    (SP, FieldConfiguration(M=1, a=2, b=0, B=1.5, phi_AB=2),
+     {8: [True, False], 20: [True], 30: [True]}),
+]
+
+
+@pytest.mark.parametrize("sym, cfg, split", EXCITED_SPLIT)
+def test_compare_split_at_excited_levels(sym, cfg, split):
+    for n, confirmed in split.items():
+        reports = compare(cfg, sym, StateIndex(n, 1), None, default_window(cfg))
+        assert [rep.oracle_E is not None for rep in reports] == confirmed, n
 
 
 def test_compare_absent_in_both(monkeypatch):
